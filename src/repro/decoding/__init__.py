@@ -5,7 +5,6 @@ from repro.decoding.base import (
     PHASE_DRAFT,
     PHASE_VERIFY,
     DecodeResult,
-    DecodeStepper,
     DecodeTrace,
     Decoder,
     PhasedDecodeStepper,
@@ -14,7 +13,6 @@ from repro.decoding.base import (
     RoundStats,
     StepOutcome,
     as_cursor,
-    begin_decode,
     is_cursor,
 )
 from repro.decoding.dynamic_tree import DynamicTreeConfig, DynamicTreeDecoder
@@ -36,7 +34,6 @@ from repro.decoding.verifier import (
 __all__ = [
     "AutoregressiveDecoder",
     "DecodeResult",
-    "DecodeStepper",
     "DecodeTrace",
     "Decoder",
     "DynamicTreeConfig",
@@ -51,7 +48,6 @@ __all__ = [
     "RoundStats",
     "StepOutcome",
     "as_cursor",
-    "begin_decode",
     "is_cursor",
     "SamplingConfig",
     "SamplingDecoder",

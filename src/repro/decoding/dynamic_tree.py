@@ -17,18 +17,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from repro.decoding.base import (
-    DecodeResult,
-    DecodeTrace,
-    ModelLike,
-    RoundStats,
-    as_cursor,
-    strip_eos,
-)
-from repro.decoding.speculative import commit
+from repro.decoding.base import ModelLike
+from repro.decoding.speculative import DraftVerifyDecoder
 from repro.decoding.token_tree import ROOT_PARENT, TokenTree
-from repro.decoding.verifier import verify_tree
-from repro.models.latency import KIND_DRAFT, SimClock
+from repro.models.latency import KIND_DRAFT
 
 
 @dataclass(frozen=True)
@@ -59,7 +51,7 @@ class DynamicTreeConfig:
             raise ValueError("max_children must be >= 1")
 
 
-class DynamicTreeDecoder:
+class DynamicTreeDecoder(DraftVerifyDecoder):
     """Speculative decoding with a probability-guided dynamic token tree."""
 
     def __init__(
@@ -74,52 +66,9 @@ class DynamicTreeDecoder:
         self.config = config
         self.name = name or f"dynamic-tree(n={config.node_budget})"
 
-    def decode(self, unit) -> DecodeResult:
-        clock = SimClock()
-        draft_session = self.draft.session(unit, clock)
-        target_session = self.target.session(unit, clock)
-        draft_session.prefill()
-        target_session.prefill()
-        eos_id = self.target.vocab.eos_id
-        trace = DecodeTrace()
-        prefix: list[int] = []
-        draft_cursor = as_cursor(draft_session)
-        target_cursor = as_cursor(target_session)
-        limit = target_session.max_decode_positions()
-        done = False
-        while not done and len(prefix) < limit:
-            emitted = self._round(
-                draft_cursor,
-                target_cursor,
-                draft_session,
-                target_session,
-                trace,
-                eos_id,
-            )
-            committed_before = len(prefix)
-            prefix, done = commit(prefix, emitted, eos_id)
-            newly_committed = prefix[committed_before:]
-            draft_cursor = draft_cursor.extend(newly_committed)
-            target_cursor = target_cursor.extend(newly_committed)
-            draft_cursor.rollback()
-            target_cursor.rollback()
-        return DecodeResult(
-            tokens=strip_eos(prefix, eos_id),
-            clock=clock,
-            trace=trace,
-            method=self.name,
-        )
-
-    def _round(
-        self,
-        draft_cursor,
-        target_cursor,
-        draft_session,
-        target_session,
-        trace,
-        eos_id,
-    ) -> list[int]:
-        stats = RoundStats()
+    def _draft_round(
+        self, draft_session, draft_cursor, stats, eos_id, _round_index
+    ) -> TokenTree:
         tree = TokenTree()
         config = self.config
         # Path probability per node; ROOT_PARENT's is 1.
@@ -169,9 +118,4 @@ class DynamicTreeDecoder:
         stats.drafted_tokens = len(tree)
         stats.submitted_tokens = tree.max_depth()
         stats.tree_nodes = len(tree)
-        outcome = verify_tree(target_session, target_cursor, tree)
-        stats.accepted_tokens = len(outcome.accepted_tokens)
-        emitted = outcome.accepted_tokens + [outcome.correction]
-        stats.emitted_tokens = len(emitted)
-        trace.rounds.append(stats)
-        return emitted
+        return tree

@@ -5,11 +5,16 @@ of (8, 1), (16, 1) and (8, 2).  With one beam the draft proposes a single
 linear sequence of fixed length; with two beams the first uncertain position
 spawns a second branch (top-2 token) and both branches are extended in
 batched draft passes, then verified together as a token tree.
+
+The draft → verify phase loop (:class:`DraftVerifyDecoder`) is shared by
+every speculative baseline: the fixed and dynamic token trees and
+speculative sampling supply only their draft and verify hooks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.decoding.base import (
     PHASE_DRAFT,
@@ -59,7 +64,100 @@ def commit(
     return prefix, done
 
 
-class SpeculativeDecoder:
+class DraftVerifyDecoder:
+    """The draft → verify phase loop shared by the speculative baselines.
+
+    Each round drafts a proposal (a draft phase), verifies it in one target
+    pass (a verify phase), commits the emitted tokens up to the first EOS
+    and rolls both sessions back to the committed prefix.  Subclasses set
+    ``draft``/``target``/``name`` and supply the per-decode round hooks via
+    :meth:`_round_hooks`::
+
+        draft_fn(draft_session, draft_cursor, stats, eos_id, round_index)
+            -> proposal
+        verify_fn(target_session, target_cursor, proposal, stats, round_index)
+            -> emitted tokens (accepted tokens + correction/bonus)
+
+    Both hooks fill in the round's :class:`RoundStats`.
+    """
+
+    draft: ModelLike
+    target: ModelLike
+    name: str
+    _draft_round: Callable
+
+    def begin(self, unit) -> PhasedDecodeStepper:
+        """Step-resumable decode; each step is one draft→verify round, split
+        into a draft phase and a verify phase."""
+        clock = SimClock()
+        return PhasedDecodeStepper(self._decode_phases(unit, clock), clock)
+
+    def decode(self, unit) -> DecodeResult:
+        return self.begin(unit).drain()
+
+    def _round_hooks(self, unit) -> tuple[Callable, Callable]:
+        """The ``(draft_fn, verify_fn)`` pair for one decode of ``unit``.
+
+        By default a subclass's ``_draft_round`` proposes a token tree and
+        :func:`verify_tree_round` verifies it.
+        """
+        return self._draft_round, verify_tree_round
+
+    def _decode_phases(self, unit, clock: SimClock) -> PhaseGenerator:
+        draft_fn, verify_fn = self._round_hooks(unit)
+        draft_session = self.draft.session(unit, clock)
+        target_session = self.target.session(unit, clock)
+        draft_session.prefill()
+        eos_id = self.target.vocab.eos_id
+        trace = DecodeTrace()
+        prefix: list[int] = []
+        draft_cursor = as_cursor(draft_session)
+        target_cursor = as_cursor(target_session)
+        limit = target_session.max_decode_positions()
+        target_prefilled = False
+        round_index = 0
+        done = False
+        while not done and len(prefix) < limit:
+            stats = RoundStats()
+            drafted = draft_fn(draft_session, draft_cursor, stats, eos_id, round_index)
+            yield PHASE_DRAFT, self.draft.name, (), False, False
+            if not target_prefilled:
+                # Target prefill bills to the first verify phase, so a
+                # disaggregating router charges it to the target pool.
+                target_session.prefill()
+                target_prefilled = True
+            emitted = verify_fn(
+                target_session, target_cursor, drafted, stats, round_index
+            )
+            trace.rounds.append(stats)
+            committed_before = len(prefix)
+            prefix, done = commit(prefix, emitted, eos_id)
+            newly_committed = prefix[committed_before:]
+            draft_cursor = draft_cursor.extend(newly_committed)
+            target_cursor = target_cursor.extend(newly_committed)
+            draft_cursor.rollback()
+            target_cursor.rollback()
+            round_index += 1
+            done = done or len(prefix) >= limit
+            yield PHASE_VERIFY, self.target.name, newly_committed, True, done
+        return DecodeResult(
+            tokens=strip_eos(prefix, eos_id),
+            clock=clock,
+            trace=trace,
+            method=self.name,
+        )
+
+
+def verify_tree_round(target_session, target_cursor, tree, stats, _round_index):
+    """Verify hook of the tree-shaped drafts: one masked tree pass."""
+    outcome = verify_tree(target_session, target_cursor, tree)
+    stats.accepted_tokens = len(outcome.accepted_tokens)
+    emitted = outcome.accepted_tokens + [outcome.correction]
+    stats.emitted_tokens = len(emitted)
+    return emitted
+
+
+class SpeculativeDecoder(DraftVerifyDecoder):
     """Draft-then-verify decoding with a fixed prediction length."""
 
     def __init__(
@@ -74,60 +172,15 @@ class SpeculativeDecoder:
         self.config = config
         self.name = name or f"speculative{config.label}"
 
-    # -- public API ----------------------------------------------------------
-    def begin(self, unit) -> PhasedDecodeStepper:
-        """Step-resumable decode; each step is one draft→verify round, split
-        into a draft phase and a verify phase."""
-        clock = SimClock()
-        return PhasedDecodeStepper(self._decode_phases(unit, clock), clock)
-
-    def decode(self, unit) -> DecodeResult:
-        return self.begin(unit).drain()
-
-    def _decode_phases(self, unit, clock: SimClock) -> PhaseGenerator:
-        draft_session = self.draft.session(unit, clock)
-        target_session = self.target.session(unit, clock)
-        draft_session.prefill()
-        eos_id = self.target.vocab.eos_id
-        trace = DecodeTrace()
-        prefix: list[int] = []
-        draft_cursor = as_cursor(draft_session)
-        target_cursor = as_cursor(target_session)
-        limit = target_session.max_decode_positions()
-        single = self.config.beams == 1
-        target_prefilled = False
-        done = False
-        while not done and len(prefix) < limit:
-            stats = RoundStats()
-            draft_fn = self._draft_single if single else self._draft_beams
-            drafted = draft_fn(draft_cursor, draft_session, stats, eos_id)
-            yield PHASE_DRAFT, self.draft.name, (), False, False
-            if not target_prefilled:
-                # Target prefill bills to the first verify phase, so a
-                # disaggregating router charges it to the target pool.
-                target_session.prefill()
-                target_prefilled = True
-            verify_fn = self._verify_single if single else self._verify_beams
-            emitted = verify_fn(target_session, target_cursor, drafted, stats)
-            trace.rounds.append(stats)
-            committed_before = len(prefix)
-            prefix, done = commit(prefix, emitted, eos_id)
-            newly_committed = prefix[committed_before:]
-            draft_cursor = draft_cursor.extend(newly_committed)
-            target_cursor = target_cursor.extend(newly_committed)
-            draft_cursor.rollback()
-            target_cursor.rollback()
-            done = done or len(prefix) >= limit
-            yield PHASE_VERIFY, self.target.name, newly_committed, True, done
-        return DecodeResult(
-            tokens=strip_eos(prefix, eos_id),
-            clock=clock,
-            trace=trace,
-            method=self.name,
-        )
+    def _round_hooks(self, unit) -> tuple[Callable, Callable]:
+        if self.config.beams == 1:
+            return self._draft_single, self._verify_single
+        return self._draft_beams, verify_tree_round
 
     # -- single-beam round ------------------------------------------------------
-    def _draft_single(self, draft_cursor, draft_session, stats, eos_id) -> list[int]:
+    def _draft_single(
+        self, draft_session, draft_cursor, stats, eos_id, _round_index
+    ) -> list[int]:
         drafts: list[int] = []
         cursor = draft_cursor
         for _ in range(self.config.draft_len):
@@ -142,7 +195,9 @@ class SpeculativeDecoder:
         stats.tree_nodes = len(drafts)
         return drafts
 
-    def _verify_single(self, target_session, target_cursor, drafts, stats) -> list[int]:
+    def _verify_single(
+        self, target_session, target_cursor, drafts, stats, _round_index
+    ) -> list[int]:
         outcome = verify_sequence(target_session, target_cursor, drafts)
         stats.accepted_tokens = outcome.accepted
         emitted = drafts[: outcome.accepted] + [outcome.correction]
@@ -150,7 +205,9 @@ class SpeculativeDecoder:
         return emitted
 
     # -- two-beam round ------------------------------------------------------
-    def _draft_beams(self, draft_cursor, draft_session, stats, eos_id) -> TokenTree:
+    def _draft_beams(
+        self, draft_session, draft_cursor, stats, eos_id, _round_index
+    ) -> TokenTree:
         tree = TokenTree()
         first = draft_session.step(draft_cursor, kind=KIND_DRAFT)
         stats.draft_steps += 1
@@ -180,10 +237,3 @@ class SpeculativeDecoder:
         stats.submitted_tokens = tree.max_depth()
         stats.tree_nodes = len(tree)
         return tree
-
-    def _verify_beams(self, target_session, target_cursor, tree, stats) -> list[int]:
-        outcome = verify_tree(target_session, target_cursor, tree)
-        stats.accepted_tokens = len(outcome.accepted_tokens)
-        emitted = outcome.accepted_tokens + [outcome.correction]
-        stats.emitted_tokens = len(emitted)
-        return emitted

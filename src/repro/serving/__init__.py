@@ -74,6 +74,7 @@ from repro.serving.request import (
     STATUS_PENDING,
     STATUS_REJECTED,
     STATUS_SHED,
+    InvariantViolation,
     RequestRecord,
     ServeRequest,
     priority_rank,
@@ -125,6 +126,7 @@ __all__ = [
     "DeviceSpec",
     "DeviceStall",
     "FaultPlan",
+    "InvariantViolation",
     "KVCacheTracker",
     "MODEL_SWITCH_COST",
     "MemorySpec",

@@ -14,6 +14,7 @@ is what makes serve simulations reproducible end to end.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -48,12 +49,17 @@ class Arrival:
     rtf: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.arrival_ms < 0:
-            raise ValueError(f"arrival {self.index}: negative arrival time")
+        if not math.isfinite(self.arrival_ms) or self.arrival_ms < 0:
+            raise ValueError(
+                f"arrival {self.index}: arrival time must be finite and >= 0, "
+                f"got {self.arrival_ms}"
+            )
         if self.utterance_index < 0:
             raise ValueError(f"arrival {self.index}: negative utterance index")
-        if self.rtf < 0:
-            raise ValueError(f"arrival {self.index}: rtf must be >= 0")
+        if not math.isfinite(self.rtf) or self.rtf < 0:
+            raise ValueError(
+                f"arrival {self.index}: rtf must be finite and >= 0, got {self.rtf}"
+            )
         priority_rank(self.priority)  # validates the class name
 
 
@@ -218,17 +224,38 @@ def save_trace(trace: Sequence[Arrival], path: str | Path) -> Path:
 
 
 def load_trace(path: str | Path) -> list[Arrival]:
-    """Load a JSON trace; entries are re-sorted into arrival order."""
-    entries = json.loads(Path(path).read_text())
-    trace = [
-        Arrival(
-            int(entry["index"]),
-            int(entry["utterance_index"]),
-            float(entry["arrival_ms"]),
-            str(entry.get("priority", PRIORITY_INTERACTIVE)),
-            float(entry.get("rtf", 0.0)),
+    """Load a JSON trace; entries are re-sorted into arrival order.
+
+    A malformed file raises :class:`ValueError` naming the offending entry
+    (its position in the JSON list), so a bad replay fails at the boundary.
+    """
+    try:
+        entries = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as error:
+        raise ValueError(f"trace {path}: invalid JSON ({error})") from None
+    if not isinstance(entries, list):
+        raise ValueError(
+            f"trace {path}: expected a JSON list of arrivals, "
+            f"got {type(entries).__name__}"
         )
-        for entry in entries
-    ]
+    trace = []
+    for position, entry in enumerate(entries):
+        where = f"trace {path}: entry {position}"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where}: expected an object, got {type(entry).__name__}")
+        try:
+            trace.append(
+                Arrival(
+                    int(entry["index"]),
+                    int(entry["utterance_index"]),
+                    float(entry["arrival_ms"]),
+                    str(entry.get("priority", PRIORITY_INTERACTIVE)),
+                    float(entry.get("rtf", 0.0)),
+                )
+            )
+        except KeyError as error:
+            raise ValueError(f"{where}: missing key {error}") from None
+        except (TypeError, ValueError) as error:
+            raise ValueError(f"{where}: {error}") from None
     trace.sort(key=lambda a: (a.arrival_ms, a.index))
     return trace

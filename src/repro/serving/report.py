@@ -22,6 +22,7 @@ from repro.serving.request import (
     STATUS_COMPLETED,
     STATUS_REJECTED,
     STATUS_SHED,
+    InvariantViolation,
     RequestRecord,
 )
 from repro.serving.scheduler import ScheduleStats
@@ -33,8 +34,9 @@ class StreamingSummary:
 
     Populated only when the trace contained streamed arrivals
     (``rtf > 0``).  ``partial_stability`` is the fraction of emitted tokens
-    later revised — identically ``0.0`` for the lossless decoder, asserted
-    at construction so a regression cannot silently report stable partials.
+    later revised — identically ``0.0`` for the lossless decoder, checked at
+    construction (:class:`InvariantViolation`) so a regression cannot
+    silently report stable partials.
     """
 
     requests: int  # streaming requests in the trace
@@ -55,10 +57,10 @@ class StreamingSummary:
         completed = [r for r in streaming if r.status == STATUS_COMPLETED]
         emitted = sum(len(r.emission_ms) for r in completed)
         revised = sum(r.revised_tokens for r in completed)
-        stability = revised / emitted if emitted else 0.0
-        assert stability == 0.0, (
-            f"lossless decoder revised {revised}/{emitted} emitted tokens"
-        )
+        if revised:
+            raise InvariantViolation(
+                f"lossless decoder revised {revised}/{emitted} emitted tokens"
+            )
         return cls(
             requests=len(streaming),
             completed=len(completed),
@@ -74,7 +76,7 @@ class StreamingSummary:
                 for r in completed
                 if r.final_latency_ms is not None
             ),
-            partial_stability=stability,
+            partial_stability=0.0,
         )
 
     def to_dict(self) -> dict:

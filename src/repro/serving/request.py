@@ -54,6 +54,13 @@ SHED_CAPACITY = "capacity"  # no device can ever serve the request
 SHED_MEMORY = "memory"  # KV blocks can never fit on any pool device
 
 
+class InvariantViolation(RuntimeError):
+    """A simulation contract broke at run time.
+
+    Raised instead of a bare ``assert`` so the check survives ``python -O``.
+    """
+
+
 def priority_rank(priority: str) -> int:
     """Dispatch/admission ordering key: lower ranks first."""
     try:

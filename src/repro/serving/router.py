@@ -55,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.decoding.base import PHASE_DRAFT, PhaseOutcome, begin_decode
+from repro.decoding.base import PHASE_DRAFT, PhaseOutcome
 from repro.serving.devices import Device, DeviceSpec, make_devices
 
 ROUTER_COLOCATED = "colocated"
@@ -210,7 +210,7 @@ def measure_draft_share(decoder, utterances) -> float:
     draft = 0.0
     total = 0.0
     for utterance in utterances:
-        stepper = begin_decode(decoder, utterance)
+        stepper = decoder.begin(utterance)
         while not stepper.done:
             outcome = stepper.step_phase()
             total += outcome.ms

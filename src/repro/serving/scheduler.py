@@ -100,7 +100,7 @@ from typing import Sequence
 
 from repro.core.streaming import positions_available
 from repro.data.corpus import Dataset
-from repro.decoding.base import DecodeStepper, PhaseOutcome, begin_decode
+from repro.decoding.base import PhasedDecodeStepper, PhaseOutcome
 from repro.serving.arrivals import Arrival, chunk_schedule
 from repro.serving.devices import Device
 from repro.serving.faults import FaultPlan, RetryPolicy
@@ -115,6 +115,7 @@ from repro.serving.request import (
     SHED_RETRIES,
     STATUS_COMPLETED,
     STATUS_SHED,
+    InvariantViolation,
     RequestRecord,
     ServeRequest,
     priority_rank,
@@ -308,7 +309,7 @@ class _Active:
     )
 
     def __init__(
-        self, record: RequestRecord, stepper: DecodeStepper, ready_ms: float
+        self, record: RequestRecord, stepper: PhasedDecodeStepper, ready_ms: float
     ) -> None:
         self.record = record
         self.stepper = stepper
@@ -383,20 +384,6 @@ class ContinuousBatchScheduler:
         config = self.config
         plan = self.faults
         retry = config.retry_policy()
-        if self.cluster.router != ROUTER_COLOCATED and not hasattr(
-            self.decoder, "begin"
-        ):
-            # A whole-decode fallback stepper yields one opaque verify blob:
-            # nothing to hand to a draft pool, and merged coalescing would
-            # mis-price distinct decodes as one pass.  Require a phase-split
-            # decoder for disaggregating policies instead of silently idling
-            # half the cluster.
-            name = getattr(self.decoder, "name", type(self.decoder).__name__)
-            raise ValueError(
-                f"router {self.cluster.router!r} needs a phase-split decoder "
-                f"(one exposing begin()), but {name!r} only supports "
-                "whole-decode stepping — use the colocated router"
-            )
         arrivals = sorted(trace, key=lambda a: (a.arrival_ms, a.index))
         draft_share = None
         if (
@@ -649,16 +636,19 @@ class ContinuousBatchScheduler:
                 record.finish_ms = end_ms
                 record.first_token_ms = end_ms  # empty transcript
             # Emissions are append-only for the lossless decoder: no token,
-            # once emitted, is ever revised.  Assert the structural half of
+            # once emitted, is ever revised.  Check the structural half of
             # the partial-stability contract here (the transcript half —
             # streamed == offline — is enforced by the parity suite).
-            assert record.revised_tokens == 0
-            assert all(
-                earlier <= later
+            if record.revised_tokens or any(
+                earlier > later
                 for earlier, later in zip(
                     record.emission_ms, record.emission_ms[1:], strict=False
                 )
-            )
+            ):
+                raise InvariantViolation(
+                    f"{record.request.request_id}: streamed emissions must be "
+                    f"append-only and monotone ({record.revised_tokens} revised)"
+                )
             # Per-chunk emission latency: for every chunk that raised the
             # position cap, when its last due token became final, relative
             # to the chunk's own arrival; the lookahead tail is charged
@@ -750,7 +740,7 @@ class ContinuousBatchScheduler:
                     inflight.append(resumed)
                     continue
                 record.service_start_ms = now_ms
-                stepper = begin_decode(self.decoder, record.request.utterance)
+                stepper = self.decoder.begin(record.request.utterance)
                 active = _Active(record, stepper, now_ms)
                 init_streaming(active)
                 if memory is not None:

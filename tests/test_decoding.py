@@ -1,11 +1,22 @@
-"""Tests for autoregressive, vanilla speculative and fixed-tree decoders."""
+"""Tests for autoregressive, vanilla speculative and fixed-tree decoders, and
+the one decode protocol every decoder shares."""
+
+import dataclasses
+import hashlib
+import inspect
+import json
 
 import pytest
 
+import repro.core
+import repro.decoding
 from repro.decoding.autoregressive import AutoregressiveDecoder
 from repro.decoding.base import strip_eos
 from repro.decoding.speculative import SpeculativeConfig, SpeculativeDecoder, commit
 from repro.decoding.tree_spec import FixedTreeConfig, FixedTreeDecoder
+from repro.harness.methods import build_method
+from repro.harness.runner import ExperimentConfig, load_split, shared_vocabulary
+from repro.models.registry import model_pair
 
 from tests.fakes import EOS, FakeUnit, ScriptedModel
 
@@ -25,6 +36,60 @@ class TestHelpers:
         prefix, done = commit([5], [6, 7], EOS)
         assert prefix == [5, 6, 7]
         assert not done
+
+
+def _decoder_classes():
+    for package in (repro.decoding, repro.core):
+        for name in package.__all__:
+            obj = getattr(package, name)
+            if inspect.isclass(obj) and hasattr(obj, "decode"):
+                yield obj
+
+
+class TestOneProtocol:
+    """Every decoder is a phase generator behind ``begin()``."""
+
+    def test_every_decoder_class_has_begin(self):
+        classes = list(_decoder_classes())
+        assert len(classes) >= 7
+        for cls in classes:
+            assert callable(getattr(cls, "begin", None)), cls.__name__
+
+
+#: Transcripts + per-round counters + SimClock event multiset (SHA-256
+#: prefix) and total simulated ms of the Table I baselines over the
+#: 32-utterance whisper test-clean corpus, recorded before they became
+#: phase generators.  Target prefill moved from before the first draft to
+#: the first verify phase, so the events are compared as a multiset and the
+#: float total (summed in event order) only to the last bits.
+TABLE1_PINS = {
+    "fixed-tree": ("5774a63d85cd3656", 19602.82019557458),
+    "dynamic-tree": ("79c8eb3c43d4e097", 17098.671195574578),
+    "spec-sampling": ("79d3cf9f5e58d77f", 24514.423195574585),
+}
+
+
+@pytest.mark.parametrize("method", sorted(TABLE1_PINS))
+def test_table1_baselines_match_pre_phase_port(method):
+    dataset = load_split("test-clean", ExperimentConfig(seed=0, utterances=32))
+    draft, target = model_pair("whisper", shared_vocabulary())
+    decoder = build_method(method, draft, target)
+    rows, events, total_ms = [], [], 0.0
+    for utterance in dataset:
+        result = decoder.decode(utterance)
+        rounds = [dataclasses.astuple(stats) for stats in result.trace.rounds]
+        rows.append([result.tokens, rounds])
+        events.append(
+            sorted(
+                (e.model, e.kind, e.new_tokens, e.cached_tokens)
+                for e in result.clock.events
+            )
+        )
+        total_ms += result.total_ms
+    digest = hashlib.sha256(json.dumps([rows, events]).encode()).hexdigest()
+    pinned_digest, pinned_ms = TABLE1_PINS[method]
+    assert digest[:16] == pinned_digest
+    assert total_ms == pytest.approx(pinned_ms, rel=1e-12)
 
 
 class TestAutoregressive:

@@ -22,7 +22,6 @@ The contract under test, from the memory-as-a-scheduling-constraint change:
 from __future__ import annotations
 
 import pickle
-import warnings
 from dataclasses import replace
 
 import pytest
@@ -109,17 +108,6 @@ class TestKVCacheTracker:
     def test_no_unbounded_history(self):
         kv = KVCacheTracker()
         assert not hasattr(kv, "_history")
-
-    def test_deprecation_shim(self):
-        import importlib
-        import sys
-
-        sys.modules.pop("repro.models.kv_cache", None)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = importlib.import_module("repro.models.kv_cache")
-        assert any(w.category is DeprecationWarning for w in caught)
-        assert legacy.KVCacheTracker is KVCacheTracker
 
     def test_models_package_lazy_export(self):
         import repro.models

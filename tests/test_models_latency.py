@@ -1,8 +1,7 @@
-"""Tests for repro.models.latency and repro.models.kv_cache."""
+"""Tests for repro.models.latency and the session KV tracker."""
 
 import pytest
 
-from repro.models.kv_cache import KVCacheTracker
 from repro.models.latency import (
     LatencyEvent,
     LatencyProfile,
@@ -11,6 +10,7 @@ from repro.models.latency import (
     prefill_ms,
     summarize_events,
 )
+from repro.serving.memory import KVCacheTracker
 
 PROFILE = LatencyProfile(
     "m", base_ms=10.0, per_token_ms=0.5, kv_us_per_token=2.0, prefill_per_token_ms=0.1

@@ -9,6 +9,7 @@ import collections
 
 import pytest
 
+from repro.decoding.base import PHASE_VERIFY
 from repro.decoding.sampling import (
     SamplingConfig,
     SamplingDecoder,
@@ -67,6 +68,19 @@ class TestSamplingDecoder:
         target = ScriptedModel(stream=stream, probs=probs, name="target")
         result = SamplingDecoder(target, SamplingConfig(seed=3)).decode(FakeUnit())
         assert result.tokens == [5, 6, 7]
+
+    def test_stepper_runs_one_target_phase_per_token(self):
+        target = ScriptedModel(stream=[5, 6, 7, EOS], name="target")
+        decoder = SamplingDecoder(target, SamplingConfig(seed=1))
+        stepper = decoder.begin(FakeUnit())
+        phases = []
+        while not stepper.done:
+            phases.append(stepper.step_phase())
+        assert all(p.phase == PHASE_VERIFY and p.model == "target" for p in phases)
+        assert all(len(p.new_tokens) == 1 and p.round_done for p in phases)
+        assert stepper.result.tokens == decoder.decode(FakeUnit()).tokens
+        committed = [t for p in phases for t in p.new_tokens]
+        assert committed[: len(stepper.result.tokens)] == stepper.result.tokens
 
 
 class TestSpeculativeSampling:

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.decoding.base import StepOutcome, begin_decode
-from repro.decoding.tree_spec import FixedTreeConfig, FixedTreeDecoder
+from repro.cli import main
+from repro.decoding.base import StepOutcome
 from repro.harness.methods import build_method
 from repro.metrics.latency_report import PercentileSummary, percentile
 from repro.serving import (
     AdmissionQueue,
+    Arrival,
     ContinuousBatchScheduler,
     SchedulerConfig,
     ServeSimConfig,
@@ -55,7 +56,7 @@ class TestDecodeStepper:
         decoder = build_method(method, draft, target)
         reference = decoder.decode(utterance)
 
-        stepper = begin_decode(decoder, utterance)
+        stepper = decoder.begin(utterance)
         outcomes: list[StepOutcome] = []
         while not stepper.done:
             outcomes.append(stepper.step())
@@ -67,21 +68,10 @@ class TestDecodeStepper:
         # step costs partition the clock total exactly
         assert sum(o.ms for o in outcomes) == pytest.approx(result.total_ms)
 
-    def test_fallback_stepper_for_non_steppable(self, whisper_pair, clean_dataset):
-        draft, target = whisper_pair
-        decoder = FixedTreeDecoder(draft, target, FixedTreeConfig())
-        assert not hasattr(decoder, "begin")
-        utterance = clean_dataset[1]
-        stepper = begin_decode(decoder, utterance)
-        outcome = stepper.step()
-        assert outcome.done  # whole decode in one step
-        assert stepper.result.tokens == decoder.decode(utterance).tokens
-        assert outcome.ms == pytest.approx(stepper.result.total_ms)
-
     def test_step_after_done_raises(self, whisper_pair, clean_dataset):
         draft, target = whisper_pair
         decoder = build_method("autoregressive", draft, target)
-        stepper = begin_decode(decoder, clean_dataset[0])
+        stepper = decoder.begin(clean_dataset[0])
         stepper.drain()
         with pytest.raises(RuntimeError):
             stepper.step()
@@ -89,7 +79,7 @@ class TestDecodeStepper:
     def test_result_before_done_raises(self, whisper_pair, clean_dataset):
         draft, target = whisper_pair
         decoder = build_method("spec(8,1)", draft, target)
-        stepper = begin_decode(decoder, clean_dataset[0])
+        stepper = decoder.begin(clean_dataset[0])
         with pytest.raises(RuntimeError):
             _ = stepper.result
 
@@ -116,6 +106,56 @@ class TestArrivals:
         trace = poisson_trace(10, 1.0, 4, seed=3)
         path = save_trace(trace, tmp_path / "trace.json")
         assert load_trace(path) == trace
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        (
+            {"arrival_ms": float("nan")},
+            {"arrival_ms": float("inf")},
+            {"arrival_ms": 0.0, "rtf": float("inf")},
+            {"arrival_ms": 0.0, "rtf": float("nan")},
+        ),
+    )
+    def test_non_finite_arrival_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            Arrival(0, 0, **kwargs)
+
+    @pytest.mark.parametrize(
+        "text, fragment",
+        (
+            ('{"index": 0}', "expected a JSON list of arrivals, got dict"),
+            ("[1, 2]", "entry 0: expected an object, got int"),
+            (
+                '[{"index": 0, "utterance_index": 0, "arrival_ms": 1.0},'
+                ' {"index": 1, "utterance_index": 0}]',
+                "entry 1: missing key 'arrival_ms'",
+            ),
+            (
+                '[{"index": 0, "utterance_index": 0, "arrival_ms": NaN}]',
+                "entry 0: .*finite",
+            ),
+            (
+                '[{"index": 0, "utterance_index": 0, "arrival_ms": 0.0,'
+                ' "rtf": Infinity}]',
+                "entry 0: .*rtf must be finite",
+            ),
+            ('[{"index": "x", "utterance_index": 0, "arrival_ms": 0}]', "entry 0"),
+            ("[{", "invalid JSON"),
+        ),
+    )
+    def test_malformed_trace_names_entry(self, tmp_path, text, fragment):
+        path = tmp_path / "trace.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=fragment):
+            load_trace(path)
+
+    def test_cli_reports_malformed_trace(self, tmp_path):
+        path = tmp_path / "trace.json"
+        path.write_text('[{"index": 0}]')
+        with pytest.raises(SystemExit, match="serve-sim: error: .*entry 0"):
+            main(["serve-sim", "--trace", str(path)])
+        with pytest.raises(SystemExit, match="serve-sim: error: .*No such file"):
+            main(["serve-sim", "--trace", str(tmp_path / "missing.json")])
 
     def test_make_trace_validates_kind(self):
         with pytest.raises(ValueError):

@@ -2,10 +2,10 @@
 
 The contract under test, from the multi-device refactor:
 
-* **Phase split** — every steppable decoder exposes draft/verify phases
-  whose costs partition the SimClock exactly; ``drain()`` (phase path) and
-  the legacy ``decode()`` are bit-identical; the atomic ``step()`` is a
-  thin wrapper over the phases of one round.
+* **Phase split** — every decoder, the Table I baselines included, exposes
+  draft/verify phases whose costs partition the SimClock exactly;
+  ``drain()`` (phase path) and ``decode()`` are bit-identical; the atomic
+  ``step()`` is a thin wrapper over the phases of one round.
 * **Cluster determinism** — a fixed arrival trace produces bit-identical
   transcripts and per-request ``decode_ms`` across device counts
   (1, 2, 4) and all router policies, and rerunning any fixed
@@ -19,14 +19,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.decoding.base import (
-    PHASE_DRAFT,
-    PHASE_VERIFY,
-    PhaseOutcome,
-    begin_decode,
-)
-from repro.decoding.tree_spec import FixedTreeConfig, FixedTreeDecoder
+from repro.decoding.base import PHASE_DRAFT, PHASE_VERIFY, PhaseOutcome
 from repro.harness.methods import build_method
+from repro.models.latency import KIND_PREFILL
 from repro.serving import (
     ClusterConfig,
     ContinuousBatchScheduler,
@@ -41,7 +36,16 @@ from repro.serving import (
 )
 from repro.serving.request import STATUS_COMPLETED
 
-PHASED_METHODS = ("autoregressive", "spec(8,1)", "spec(8,2)", "specasr-asp")
+#: The Table I baselines every router must serve.
+TABLE1_BASELINES = ("fixed-tree", "dynamic-tree", "spec-sampling")
+
+PHASED_METHODS = (
+    "autoregressive",
+    "spec(8,1)",
+    "spec(8,2)",
+    "specasr-asp",
+    *TABLE1_BASELINES,
+)
 
 HETERO = parse_device_specs("2x1.0,2x0.5")
 
@@ -88,7 +92,7 @@ class TestPhaseSplitSteppers:
         decoder = build_method(method, draft, target)
         reference = decoder.decode(utterance)
 
-        stepper = begin_decode(decoder, utterance)
+        stepper = decoder.begin(utterance)
         phases: list[PhaseOutcome] = []
         while not stepper.done:
             phases.append(stepper.step_phase())
@@ -104,7 +108,7 @@ class TestPhaseSplitSteppers:
     def test_phase_model_tags(self, whisper_pair, clean_dataset, method):
         draft, target = whisper_pair
         decoder = build_method(method, draft, target)
-        stepper = begin_decode(decoder, clean_dataset[1])
+        stepper = decoder.begin(clean_dataset[1])
         phases = []
         while not stepper.done:
             phases.append(stepper.step_phase())
@@ -122,18 +126,30 @@ class TestPhaseSplitSteppers:
             kinds = [p.phase for p in phases]
             assert kinds == [PHASE_DRAFT, PHASE_VERIFY] * (len(kinds) // 2)
 
+    @pytest.mark.parametrize("method", PHASED_METHODS[1:])  # speculative only
+    def test_target_prefill_bills_to_first_verify(
+        self, whisper_pair, clean_dataset, method
+    ):
+        draft, target = whisper_pair
+        stepper = build_method(method, draft, target).begin(clean_dataset[0])
+        assert stepper.step_phase().phase == PHASE_DRAFT
+        assert all(e.model != target.name for e in stepper.clock.events)
+        assert stepper.step_phase().phase == PHASE_VERIFY
+        target_kinds = [e.kind for e in stepper.clock.events if e.model == target.name]
+        assert target_kinds.count(KIND_PREFILL) == 1
+
     @pytest.mark.parametrize("method", ("spec(8,1)", "specasr-tsp"))
     def test_atomic_step_wraps_phases(self, whisper_pair, clean_dataset, method):
         draft, target = whisper_pair
         utterance = clean_dataset[2]
         decoder = build_method(method, draft, target)
 
-        by_round = begin_decode(decoder, utterance)
+        by_round = decoder.begin(utterance)
         steps = []
         while not by_round.done:
             steps.append(by_round.step())
 
-        by_phase = begin_decode(decoder, utterance)
+        by_phase = decoder.begin(utterance)
         rounds = []
         while not by_phase.done:
             tokens, ms = [], 0.0
@@ -149,20 +165,10 @@ class TestPhaseSplitSteppers:
         assert by_round.result.tokens == by_phase.result.tokens
         assert by_round.result.total_ms == by_phase.result.total_ms
 
-    def test_fallback_stepper_single_verify_phase(self, whisper_pair, clean_dataset):
-        draft, target = whisper_pair
-        decoder = FixedTreeDecoder(draft, target, FixedTreeConfig())
-        assert not hasattr(decoder, "begin")
-        stepper = begin_decode(decoder, clean_dataset[1])
-        phase = stepper.step_phase()
-        assert phase.done and phase.round_done
-        assert phase.phase == PHASE_VERIFY
-        assert phase.ms == pytest.approx(stepper.result.total_ms)
-
     def test_step_phase_after_done_raises(self, whisper_pair, clean_dataset):
         draft, target = whisper_pair
         decoder = build_method("specasr-asp", draft, target)
-        stepper = begin_decode(decoder, clean_dataset[0])
+        stepper = decoder.begin(clean_dataset[0])
         stepper.drain()
         with pytest.raises(RuntimeError):
             stepper.step_phase()
@@ -343,26 +349,23 @@ class TestPlacementSemantics:
         # coalesced verify passes can only shrink target-device occupancy
         assert merged.device_busy_ms <= disagg.device_busy_ms + 1e-9
 
-    def test_non_phased_decoder_rejected_on_disaggregating_router(
-        self, whisper_pair, clean_dataset
+    @pytest.mark.parametrize("method", TABLE1_BASELINES)
+    def test_table1_baselines_serve_on_every_router(
+        self, whisper_pair, clean_dataset, method
     ):
         draft, target = whisper_pair
-        decoder = FixedTreeDecoder(draft, target, FixedTreeConfig())
-        trace = uniform_trace(2, 1.0, len(clean_dataset), seed=1)
-        for router in ("disaggregated", "merged"):
+        decoder = build_method(method, draft, target)
+        offline = [decoder.decode(u).tokens for u in clean_dataset]
+        trace = uniform_trace(6, 4.0, len(clean_dataset), seed=1)
+        for router in ("colocated", "disaggregated", "merged"):
             scheduler = ContinuousBatchScheduler(
-                decoder,
-                SchedulerConfig(),
-                ClusterConfig(devices=2, router=router),
+                decoder, SchedulerConfig(), ClusterConfig(devices=2, router=router)
             )
-            with pytest.raises(ValueError, match="phase-split"):
-                scheduler.run(trace, clean_dataset)
-        # the colocated policy still accepts whole-decode fallbacks
-        scheduler = ContinuousBatchScheduler(
-            decoder, SchedulerConfig(), ClusterConfig(devices=2)
-        )
-        records = scheduler.run(trace, clean_dataset)
-        assert all(r.status == STATUS_COMPLETED for r in records)
+            records = scheduler.run(trace, clean_dataset)
+            assert all(r.status == STATUS_COMPLETED for r in records), router
+            for arrival, record in zip(trace, records, strict=True):
+                expected = offline[arrival.utterance_index]
+                assert record.tokens == expected, (router, arrival.index)
 
     def test_balanced_split_records_measured_share(self, whisper_pair, clean_dataset):
         stats = self._stats(

@@ -3,18 +3,26 @@
 The percentile/utilisation paths of :mod:`repro.serving.report` divide by
 request counts and simulated spans; these tests pin the degenerate corners
 (no records at all, a single completed record, every record rejected) and
-the per-device spec/utilisation rows added with heterogeneous clusters.
+the per-device spec/utilisation rows added with heterogeneous clusters,
+plus the streaming no-revision invariant, which must hold under
+``python -O`` too.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.data.corpus import Utterance
-from repro.serving.report import ServeReport
+from repro.serving.report import ServeReport, StreamingSummary
 from repro.serving.request import (
     STATUS_COMPLETED,
     STATUS_REJECTED,
+    InvariantViolation,
     RequestRecord,
     ServeRequest,
 )
@@ -184,3 +192,52 @@ class TestPerDeviceRows:
         assert row["role"] == "any"
         assert row["utilisation"] == pytest.approx(0.5)
         assert report.cluster_label() == "1 device(s)"  # no speed-mix suffix
+
+
+def _revised_streaming_record() -> RequestRecord:
+    record = _record(0, STATUS_COMPLETED)
+    record.audio_end_ms = 100.0  # streamed
+    record.emission_ms = [30.0, 40.0]
+    record.revised_tokens = 1
+    return record
+
+
+_REVISED_SCRIPT = """
+from repro.data.corpus import Utterance
+from repro.serving import InvariantViolation, StreamingSummary
+from repro.serving.request import STATUS_COMPLETED, RequestRecord, ServeRequest
+
+utterance = Utterance("u", "s", ("a",), (3,), 1.0, (0.1,), "test-clean")
+record = RequestRecord(request=ServeRequest("r", 0, utterance, 0.0, rtf=1.0))
+record.status = STATUS_COMPLETED
+record.audio_end_ms = 100.0
+record.emission_ms = [30.0]
+record.revised_tokens = 1
+try:
+    StreamingSummary.from_records([record])
+except InvariantViolation as error:
+    print("raised:", error)
+else:
+    print("accepted")
+"""
+
+
+class TestStreamingInvariant:
+    def test_revised_tokens_raise(self):
+        with pytest.raises(InvariantViolation, match="revised 1/2"):
+            StreamingSummary.from_records([_revised_streaming_record()])
+
+    def test_is_a_runtime_error(self):
+        assert issubclass(InvariantViolation, RuntimeError)
+
+    def test_check_survives_optimised_python(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", _REVISED_SCRIPT],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        assert proc.stdout.startswith("raised:"), proc.stdout + proc.stderr

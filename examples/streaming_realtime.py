@@ -19,7 +19,7 @@ from repro.harness.figures import ascii_table
 from repro.harness.methods import standard_methods
 from repro.harness.runner import ExperimentConfig, load_split, shared_vocabulary
 from repro.models.registry import PAIRINGS, model_pair
-from repro.serving import ServeSimConfig, simulate
+from repro.serving import ServeSimConfig, StreamSpec, simulate
 
 RTF_BUDGET = 0.10  # decode in at most 10 % of the audio duration
 
@@ -31,10 +31,7 @@ def serve_streaming() -> None:
             num_requests=8,
             utterances=6,
             qps=0.4,
-            streaming=True,
-            rtf=1.0,
-            chunk_s=1.0,
-            lookahead_s=0.3,
+            stream=StreamSpec(enabled=True, rtf=1.0, chunk_s=1.0, lookahead_s=0.3),
         )
     )
     summary = report.streaming

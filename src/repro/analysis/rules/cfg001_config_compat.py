@@ -1,24 +1,16 @@
-"""CFG001 — serving config dataclasses stay pickle/kwarg upgradeable.
+"""CFG001 — every serving config field carries a default.
 
 The serving configs (``*Spec`` sub-configs and ``ServeSimConfig``) are the
 repo's persistence surface: they ride in checked-in bench JSON, replay
-traces and worker-pool pickles across PR generations.  Two statically
-checkable contracts keep old artefacts loadable:
-
-* **every field carries a default** — an old pickle or flat-kwarg call
-  site simply misses new fields, and only defaults make that a non-event;
-* **sub-config fields are named in the** ``__setstate__`` **upgrade
-  guard** — ``ServeSimConfig.__setstate__`` rebuilds through ``__init__``
-  when a pickle predates a sub-config, and the trigger is a literal
-  ``"name" not in state`` check per sub-config field.  A new sub-config
-  added without extending the guard restores old pickles with the
-  attribute missing entirely.
+traces and worker-pool pickles.  A new field without a default breaks
+every call site written before it; with one, those call sites keep
+working, and (since a plain dataclass default is also a class attribute)
+a pickle written before the field existed reads the default on load.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from typing import Iterator
 
 from repro.analysis.engine import Finding, ModuleContext, Rule
@@ -26,12 +18,9 @@ from repro.analysis.rules.base import (
     dataclass_fields,
     field_has_default,
     is_dataclass_def,
-    string_literals,
 )
 
 RULE_ID = "CFG001"
-
-_SPEC_TYPE_RE = re.compile(r"\b\w+Spec\b")
 
 
 def _covered_classes(tree: ast.Module) -> Iterator[ast.ClassDef]:
@@ -44,58 +33,21 @@ def _covered_classes(tree: ast.Module) -> Iterator[ast.ClassDef]:
             yield node
 
 
-def _setstate_def(node: ast.ClassDef) -> ast.FunctionDef | None:
-    for statement in node.body:
-        if isinstance(statement, ast.FunctionDef) and statement.name == "__setstate__":
-            return statement
-    return None
-
-
 def check(context: ModuleContext) -> Iterator[Finding]:
     for class_def in _covered_classes(context.tree):
-        fields = list(dataclass_fields(class_def))
-        for name, statement in fields:
+        for name, statement in dataclass_fields(class_def):
             if not field_has_default(statement):
                 yield context.finding(
                     statement,
                     RULE_ID,
-                    f"{class_def.name}.{name} has no default: old pickles "
-                    "and flat-kwarg call sites cannot upgrade past it",
-                )
-        # Sub-config fields (annotated with a *Spec type) must be guarded
-        # in the upgrade path so pre-sub-config pickles rebuild.
-        spec_fields = [
-            name
-            for name, statement in fields
-            if _SPEC_TYPE_RE.search(ast.unparse(statement.annotation))
-        ]
-        if not spec_fields:
-            continue
-        setstate = _setstate_def(class_def)
-        if setstate is None:
-            yield context.finding(
-                class_def,
-                RULE_ID,
-                f"{class_def.name} nests sub-configs "
-                f"({', '.join(spec_fields)}) but defines no __setstate__ "
-                "upgrade path for pickles that predate them",
-            )
-            continue
-        guarded = string_literals(setstate)
-        for name in spec_fields:
-            if name not in guarded:
-                yield context.finding(
-                    setstate,
-                    RULE_ID,
-                    f"{class_def.name}.__setstate__ never checks for "
-                    f"{name!r}: a pickle predating that sub-config would "
-                    "restore without the attribute",
+                    f"{class_def.name}.{name} has no default: call sites and "
+                    "stored configs that predate it cannot load",
                 )
 
 
 RULE = Rule(
     id=RULE_ID,
-    summary="*Spec/ServeSimConfig fields need defaults + __setstate__ coverage",
+    summary="*Spec/ServeSimConfig fields need defaults",
     check=check,
     scope="src/repro/serving",
 )

@@ -303,8 +303,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "lint",
         help="statically check the determinism & simulation contracts",
         description="AST-based lint over the repo's determinism contracts "
-        "(DET001-004), simulation cost billing (SIM001), config pickle "
-        "compat (CFG001) and export surfaces (API001).  Suppress one "
+        "(DET001-004), simulation cost billing (SIM001), config field "
+        "defaults (CFG001) and export surfaces (API001).  Suppress one "
         "finding with a '# repro: ignore[RULE]' comment on its line.",
     )
     lint_parser.add_argument(
@@ -414,7 +414,11 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.serving import (
+        ChaosSpec,
+        ClusterSpec,
+        MemorySpec,
         ServeSimConfig,
+        StreamSpec,
         build_decoder,
         load_trace,
         max_sustainable_qps,
@@ -439,26 +443,34 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
             max_inflight=args.inflight,
             queue_capacity=args.queue_capacity,
             overlap=args.overlap,
-            devices=args.devices,
-            router=args.router,
-            pool_split=args.split,
-            device_spec=args.device_spec,
-            faults=args.faults,
-            fault_seed=args.fault_seed,
-            max_retries=args.max_retries,
-            retry_backoff_ms=args.retry_backoff_ms,
-            straggler_k=args.straggler_k,
-            admission_deadline_ms=args.admission_deadline_ms,
-            batch_deadline_ms=args.batch_deadline_ms,
             batch_fraction=args.batch_fraction,
-            memory_blocks=args.memory_blocks,
-            block_size=args.block_size,
-            prefix_sharing=not args.no_prefix_sharing,
-            reprefill_ms_per_block=args.reprefill_ms_per_block,
-            streaming=args.streaming,
-            rtf=args.rtf,
-            chunk_s=args.chunk_s,
-            lookahead_s=args.lookahead_s,
+            cluster=ClusterSpec(
+                devices=args.devices,
+                router=args.router,
+                pool_split=args.split,
+                device_spec=args.device_spec,
+            ),
+            chaos=ChaosSpec(
+                faults=args.faults,
+                fault_seed=args.fault_seed,
+                max_retries=args.max_retries,
+                retry_backoff_ms=args.retry_backoff_ms,
+                straggler_k=args.straggler_k,
+                admission_deadline_ms=args.admission_deadline_ms,
+                batch_deadline_ms=args.batch_deadline_ms,
+            ),
+            memory=MemorySpec(
+                device_blocks=args.memory_blocks,
+                block_size=args.block_size,
+                prefix_sharing=not args.no_prefix_sharing,
+                reprefill_ms_per_block=args.reprefill_ms_per_block,
+            ),
+            stream=StreamSpec(
+                enabled=args.streaming,
+                rtf=args.rtf,
+                chunk_s=args.chunk_s,
+                lookahead_s=args.lookahead_s,
+            ),
         )
         config.scheduler_config()
         cluster = config.cluster_config()

@@ -1,8 +1,18 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
+from repro.serving import (
+    ChaosSpec,
+    ClusterSpec,
+    MemorySpec,
+    ServeSimConfig,
+    StreamSpec,
+    simulate,
+)
 
 
 class TestCli:
@@ -126,6 +136,61 @@ class TestServeSimValidation:
         )
         out = capsys.readouterr().out
         assert "2 device(s)" in out
+
+    def test_serve_sim_flags_map_to_subconfigs(self, capsys, tmp_path, monkeypatch):
+        # Spy on simulate() too: a flag whose field leaves no trace in this
+        # small run's report (e.g. --straggler-k) is still checked exactly.
+        seen = []
+
+        def spy(config, **kwargs):
+            seen.append(config)
+            return simulate(config, **kwargs)
+
+        monkeypatch.setattr("repro.serving.simulate", spy)
+        path = tmp_path / "report.json"
+        argv = [
+            "serve-sim",
+            "--method",
+            "specasr-asp",
+            "--qps",
+            "6",
+            "--requests",
+            "8",
+            "--utterances",
+            "6",
+            "--devices",
+            "2",
+            "--router",
+            "merged",
+            "--memory-blocks",
+            "96",
+            "--block-size",
+            "8",
+            "--streaming",
+            "--faults",
+            "perr:0.05",
+            "--fault-seed",
+            "7",
+            "--straggler-k",
+            "2",
+            "--no-max-qps",
+            "--json",
+            str(path),
+        ]
+        assert main(argv) == 0
+        config = ServeSimConfig(
+            method="specasr-asp",
+            qps=6.0,
+            num_requests=8,
+            utterances=6,
+            cluster=ClusterSpec(devices=2, router="merged"),
+            chaos=ChaosSpec(faults="perr:0.05", fault_seed=7, straggler_k=2.0),
+            memory=MemorySpec(device_blocks=96, block_size=8),
+            stream=StreamSpec(enabled=True),
+        )
+        assert seen == [config]
+        expected = json.loads(json.dumps(simulate(config).to_dict()))
+        assert json.loads(path.read_text()) == expected
 
     def test_rejects_malformed_fault_spec(self, capsys):
         with pytest.raises(SystemExit, match="serve-sim: error"):

@@ -29,7 +29,9 @@ from repro.decoding.base import PHASE_DRAFT, PhaseOutcome
 from repro.harness.executor import CorpusExecutor
 from repro.harness.methods import build_method
 from repro.serving import (
+    ChaosSpec,
     ClusterConfig,
+    ClusterSpec,
     ContinuousBatchScheduler,
     Device,
     DeviceCrash,
@@ -577,11 +579,9 @@ class TestRequeueDeterminism:
         qps=8.0,
         num_requests=12,
         utterances=6,
-        devices=4,
-        router="disaggregated",
-        faults="crash@600:dev3:restart=800;perr:0.05",
-        fault_seed=3,
         batch_fraction=0.25,
+        cluster=ClusterSpec(devices=4, router="disaggregated"),
+        chaos=ChaosSpec(faults="crash@600:dev3:restart=800;perr:0.05", fault_seed=3),
     )
 
     def test_same_plan_reproduces_identical_reports(self):
@@ -604,7 +604,8 @@ class TestRequeueDeterminism:
 
     def test_fault_seed_changes_transient_errors(self):
         base = simulate(self.CONFIG)
-        reseeded = simulate(replace(self.CONFIG, fault_seed=99))
+        chaos = replace(self.CONFIG.chaos, fault_seed=99)
+        reseeded = simulate(replace(self.CONFIG, chaos=chaos))
         # same offered work, different transient-error draws
         assert base.num_requests == reseeded.num_requests
         assert (
@@ -619,11 +620,11 @@ class TestChaosReport:
             qps=8.0,
             num_requests=12,
             utterances=6,
-            devices=4,
-            router="disaggregated",
-            faults="crash@600:dev3:restart=800",
             batch_fraction=0.5,
-            batch_deadline_ms=9000.0,
+            cluster=ClusterSpec(devices=4, router="disaggregated"),
+            chaos=ChaosSpec(
+                faults="crash@600:dev3:restart=800", batch_deadline_ms=9000.0
+            ),
         )
         report = simulate(config)
         payload = report.to_dict()

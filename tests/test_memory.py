@@ -14,9 +14,10 @@ The contract under test, from the memory-as-a-scheduling-constraint change:
 * **Constrained capacity** — conservation (completed + rejected + shed ==
   arrived) holds under pressure, transcripts of completed requests stay
   scheduler-independent, and an impossible demand sheds ``"memory"``.
-* **Config surface** — the composed ``ServeSimConfig`` keeps the seed-era
-  flat kwargs, ``dataclasses.replace`` and legacy pickles working, and the
-  ``@BLOCKS`` device-spec suffix round-trips.
+* **Config surface** — ``ServeSimConfig`` is configured only through its
+  four sub-configs: the seed-era flat names are gone from the constructor
+  and the instance, ``dataclasses.replace`` and pickling round-trip every
+  sub-config, and the ``@BLOCKS`` device-spec suffix round-trips.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from repro.serving import (
     MemorySpec,
     SchedulerConfig,
     ServeSimConfig,
+    StreamSpec,
     format_device_specs,
     parse_device_specs,
     poisson_trace,
@@ -508,101 +510,78 @@ class TestSchedulerMemory:
 # ---------------------------------------------------------------------------
 
 
+# The seed-era flat names, removed in favour of the four sub-configs.
+# (``batch_deadline_ms`` stays readable as a property; it is not listed.)
+REMOVED_FLAT_NAMES = (
+    "devices",
+    "router",
+    "pool_split",
+    "device_spec",
+    "faults",
+    "fault_seed",
+    "max_retries",
+    "retry_backoff_ms",
+    "straggler_k",
+    "admission_deadline_ms",
+    "memory_blocks",
+    "block_size",
+    "prefix_sharing",
+    "reprefill_ms_per_block",
+    "streaming",
+    "rtf",
+    "chunk_s",
+    "lookahead_s",
+)
+
+
 class TestConfigSurface:
-    def test_flat_kwargs_fold_into_subconfigs(self):
-        config = ServeSimConfig(
-            devices=4,
-            router="disaggregated",
-            faults="crash@100:dev0",
-            straggler_k=2.0,
-            memory_blocks=64,
-            block_size=8,
-        )
-        assert config.cluster == ClusterSpec(devices=4, router="disaggregated")
-        assert config.chaos.faults == "crash@100:dev0"
-        assert config.chaos.straggler_k == 2.0
-        assert config.memory == MemorySpec(device_blocks=64, block_size=8)
-        # Flat read surface mirrors the sub-configs.
-        assert config.devices == 4
-        assert config.router == "disaggregated"
-        assert config.memory_blocks == 64
-        assert config.block_size == 8
-
-    def test_subconfig_and_flat_equivalent(self):
-        flat = ServeSimConfig(devices=2, faults="perr:0.1", memory_blocks=32)
-        composed = ServeSimConfig(
-            cluster=ClusterSpec(devices=2),
-            chaos=ChaosSpec(faults="perr:0.1"),
-            memory=MemorySpec(device_blocks=32),
-        )
-        assert flat == composed
-        assert hash(flat) == hash(composed)
-
-    def test_flat_override_on_top_of_subconfig(self):
-        config = ServeSimConfig(
-            cluster=ClusterSpec(devices=4, router="merged"), pool_split="balanced"
-        )
-        assert config.devices == 4
-        assert config.router == "merged"
-        assert config.pool_split == "balanced"
+    @pytest.mark.parametrize("name", REMOVED_FLAT_NAMES)
+    def test_flat_name_removed(self, name):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            ServeSimConfig(**{name: None})
+        assert not hasattr(ServeSimConfig(), name)
 
     def test_unknown_kwarg_rejected(self):
         with pytest.raises(TypeError, match="unexpected keyword"):
             ServeSimConfig(bogus=1)
 
     def test_replace_with_flat_and_field_names(self):
-        config = ServeSimConfig(devices=4, router="disaggregated", memory_blocks=64)
+        config = ServeSimConfig(
+            cluster=ClusterSpec(devices=4, router="disaggregated"),
+            memory=MemorySpec(device_blocks=64),
+        )
+        with pytest.raises(TypeError):
+            replace(config, devices=2)
         assert replace(config, qps=9.0).qps == 9.0
-        bumped = replace(config, devices=2)
-        assert bumped.devices == 2
-        assert bumped.router == "disaggregated"  # sibling fields preserved
-        assert bumped.memory_blocks == 64
-        assert config.with_qps(3.0).memory_blocks == 64
+        bumped = replace(config, cluster=replace(config.cluster, devices=2))
+        assert bumped.cluster == ClusterSpec(devices=2, router="disaggregated")
+        assert bumped.memory.device_blocks == 64  # sibling sub-config kept
+        assert config.with_qps(3.0).memory.device_blocks == 64
 
     def test_pickle_roundtrip(self):
-        config = ServeSimConfig(devices=3, faults="perr:0.05", memory_blocks=16)
-        assert pickle.loads(pickle.dumps(config)) == config
-
-    def test_legacy_flat_pickle_state_upgrades(self):
-        state = {
-            "method": "specasr-asp",
-            "pairing": "whisper",
-            "qps": 2.0,
-            "num_requests": 48,
-            "seed": 2025,
-            "utterances": 32,
-            "split": "test-clean",
-            "arrival": "poisson",
-            "deadline_ms": 3000.0,
-            "max_batch": 4,
-            "max_inflight": 8,
-            "queue_capacity": 32,
-            "overlap": 0.8,
-            "devices": 3,
-            "router": "merged",
-            "pool_split": "fixed",
-            "device_spec": "",
-            "faults": "",
-            "fault_seed": 0,
-            "max_retries": 3,
-            "retry_backoff_ms": 25.0,
-            "straggler_k": 0.0,
-            "admission_deadline_ms": None,
-            "batch_deadline_ms": None,
-            "batch_fraction": 0.0,
-        }
-        config = ServeSimConfig.__new__(ServeSimConfig)
-        config.__setstate__(state)
-        assert config == ServeSimConfig(devices=3, router="merged")
-        assert config.memory == MemorySpec()
+        config = ServeSimConfig(
+            cluster=ClusterSpec(devices=3, router="merged", device_spec="3x1.0@32"),
+            chaos=ChaosSpec(faults="perr:0.05", fault_seed=7, straggler_k=2.0),
+            memory=MemorySpec(device_blocks=16, block_size=8, prefix_sharing=False),
+            stream=StreamSpec(enabled=True, rtf=2.0, chunk_s=0.5, lookahead_s=0.1),
+        )
+        clone = pickle.loads(pickle.dumps(config))
+        assert clone == config
+        for name in ("cluster", "chaos", "memory", "stream"):
+            default = getattr(ServeSimConfig(), name)
+            assert getattr(clone, name) == getattr(config, name) != default
 
     def test_memory_spec_accessor(self):
         assert ServeSimConfig().memory_spec() == MemorySpec()
-        assert ServeSimConfig(memory_blocks=8).memory_spec().device_blocks == 8
+        spec = MemorySpec(device_blocks=8)
+        assert ServeSimConfig(memory=spec).memory_spec() is spec
 
     def test_simulate_reports_memory(self):
         config = ServeSimConfig(
-            num_requests=6, utterances=4, qps=4.0, memory_blocks=4096
+            num_requests=6,
+            utterances=4,
+            qps=4.0,
+            memory=MemorySpec(device_blocks=4096),
         )
         report = simulate(config)
         payload = report.to_dict()

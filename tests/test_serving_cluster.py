@@ -24,6 +24,7 @@ from repro.harness.methods import build_method
 from repro.models.latency import KIND_PREFILL
 from repro.serving import (
     ClusterConfig,
+    ClusterSpec,
     ContinuousBatchScheduler,
     Device,
     SchedulerConfig,
@@ -477,8 +478,7 @@ class TestClusterSimulate:
             qps=3.0,
             num_requests=10,
             utterances=8,
-            devices=2,
-            router="merged",
+            cluster=ClusterSpec(devices=2, router="merged"),
         )
         assert simulate(config).to_dict() == simulate(config).to_dict()
 
@@ -488,8 +488,7 @@ class TestClusterSimulate:
             qps=2.0,
             num_requests=8,
             utterances=8,
-            devices=2,
-            router="disaggregated",
+            cluster=ClusterSpec(devices=2, router="disaggregated"),
         )
         payload = simulate(config).to_dict()
         assert payload["devices"] == 2

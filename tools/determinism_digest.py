@@ -34,7 +34,14 @@ from repro.harness.runner import (  # noqa: E402
     shared_vocabulary,
 )
 from repro.models.registry import model_pair  # noqa: E402
-from repro.serving import ServeSimConfig, simulate  # noqa: E402
+from repro.serving import (  # noqa: E402
+    ChaosSpec,
+    ClusterSpec,
+    MemorySpec,
+    ServeSimConfig,
+    StreamSpec,
+    simulate,
+)
 
 
 def decode_component(utterances: int, seed: int) -> dict:
@@ -66,12 +73,10 @@ def serve_component(seed: int) -> dict:
         num_requests=16,
         utterances=8,
         seed=seed,
-        devices=2,
-        router="merged",
-        memory_blocks=96,
-        streaming=True,
-        faults="perr:0.05",
-        fault_seed=seed,
+        cluster=ClusterSpec(devices=2, router="merged"),
+        chaos=ChaosSpec(faults="perr:0.05", fault_seed=seed),
+        memory=MemorySpec(device_blocks=96),
+        stream=StreamSpec(enabled=True),
     )
     report = simulate(config)
     return report.to_dict()

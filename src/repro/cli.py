@@ -210,8 +210,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--straggler-k",
         type=float,
         default=0.0,
-        help="re-issue a running phase whose projected completion exceeds "
-        "k x its pool median on the fastest idle peer (0 = off)",
+        help="re-issue a running phase whose remaining time exceeds k x the "
+        "median remaining time on the fastest idle peer (0 = off)",
     )
     serve_parser.add_argument(
         "--admission-deadline-ms",
@@ -474,9 +474,7 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
         )
         config.scheduler_config()
         cluster = config.cluster_config()
-        plan = config.fault_plan()
-        if plan is not None:
-            plan.validate_for(cluster.devices)
+        config.fault_plan().validate_for(cluster.devices)
         if not 0.0 <= args.batch_fraction <= 1.0:
             raise ValueError(
                 f"batch_fraction must be in [0, 1], got {args.batch_fraction}"

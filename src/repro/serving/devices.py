@@ -53,6 +53,7 @@ from typing import Sequence
 
 from repro.decoding.base import PHASE_VERIFY, PhaseOutcome
 from repro.serving.faults import HEALTHY_PROFILE, DeviceFaultProfile
+from repro.serving.request import InvariantViolation
 
 #: Fractional busy-time inflation per *extra* resident model a micro-batch
 #: touches.  Calibrated to the memory-bound regime: re-streaming the other
@@ -304,11 +305,14 @@ class Device:
         ``abort_ms`` (a crash inside the batch's span) the batch ends there
         instead: the partial occupancy is billed — and also counted in
         ``wasted_ms``, since the phases never commit — and the caller is
-        responsible for requeueing the aborted phases.
+        responsible for requeueing the aborted phases.  A batch starting
+        while the device is dead or stalled raises ``InvariantViolation``.
         """
         if not phases:
             raise ValueError("cannot execute an empty batch")
         start = max(start_ms, self.free_at)
+        if self.faults is not HEALTHY_PROFILE and not self.faults.available(start):
+            raise InvariantViolation(f"{self.device_id} dead or stalled at {start} ms")
         busy = self.batch_busy_ms(phases, merge_verify, at_ms=start)
         end = start + busy
         if abort_ms is not None:

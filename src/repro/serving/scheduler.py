@@ -44,10 +44,10 @@ threads injected chaos through the loop:
   request (reason ``"retries"``).
 * The router's projections **exclude dead and stalled devices**, and the
   pool planner re-plans on every membership change (crash, warm restart).
-* A **straggler detector** re-issues a running phase whose projected
-  completion exceeds ``straggler_factor`` × its pool's median on the
-  fastest idle pool peer; the first copy to finish commits and the other
-  settles as cancelled (first-finisher-wins).
+* A **straggler detector** re-issues a running phase whose remaining time
+  exceeds ``straggler_factor`` × the median remaining time of its phase
+  kind on the fastest idle pool peer; the first copy to finish commits and
+  the other settles as cancelled (first-finisher-wins).
 
 **Memory awareness.**  With a :class:`~repro.serving.memory.MemorySpec`
 (or per-device ``@BLOCKS`` capacities) the scheduler bills KV residency
@@ -77,6 +77,13 @@ they waste device time; and when capacity is permanently gone (all pool
 devices dead with no restart pending) the remaining work is shed (reason
 ``"capacity"``) instead of hanging the loop.  The conservation invariant
 ``completed + rejected + shed == arrived`` always holds.
+
+**Structure.**  A run is one private run object (cluster, request
+containers, clock) with one handler per event kind, driven by the loop in
+:meth:`ContinuousBatchScheduler.run`.  Run totals fold from the records,
+and :meth:`~repro.serving.devices.Device.execute` raises
+:class:`~repro.serving.request.InvariantViolation` on a batch that starts
+on a dead or stalled device.
 
 Determinism: given one arrival trace, every quantity here is a pure
 function of the trace, the decoders, the cluster shape and the fault plan —
@@ -141,7 +148,7 @@ class SchedulerConfig:
     # -- failure handling / degradation (defaults keep all of it off) ------
     max_retries: int = 3  # per-phase failure budget before shedding
     retry_backoff_ms: float = 25.0  # base of the exponential backoff
-    straggler_factor: float = 0.0  # re-issue at k x pool median; 0 = off
+    straggler_factor: float = 0.0  # re-issue past k x median remaining; 0 = off
     admission_deadline_ms: float | None = None  # shed interactive overdue
     batch_deadline_ms: float | None = None  # shed batch-class overdue
 
@@ -283,7 +290,7 @@ class _Active:
     supports — ``audio_end_ms`` the arrival of the last chunk, ``emitted``
     the committed-token count, and ``new_round`` whether the pending phase
     starts a fresh draft→verify round (the only point the chunk gate may
-    hold it back).
+    hold it back).  The streaming methods below read only this timeline.
     """
 
     __slots__ = (
@@ -331,6 +338,728 @@ class _Active:
         self.emitted = 0  # committed tokens recorded as emissions
         self.new_round = True  # pending phase begins a new round
 
+    def resident_tokens(self, model: str) -> int:
+        # A model's KV is resident only once its first phase committed (the
+        # prefill); from then on it holds prompt + committed tokens.
+        if model in self.prefilled:
+            return self.prompt + self.committed
+        return 0
+
+    def start_stream(self, stream: StreamSpec) -> None:
+        """Expand a streamed request into its audio-chunk timeline."""
+        request = self.record.request
+        if request.rtf <= 0:
+            return
+        utterance = request.utterance
+        events = chunk_schedule(request, utterance.duration_s, stream.chunk_s)
+        self.chunk_caps = tuple(
+            (at_ms, positions_available(utterance, heard_s, stream.lookahead_s))
+            for at_ms, heard_s in events
+        )
+        self.audio_end_ms = events[-1][0]
+        self.record.audio_end_ms = self.audio_end_ms
+        self.record.stream_chunks = len(events)
+
+    def stream_gate_ms(self, now_ms: float) -> float | None:
+        """When the audio cap next allows a new round; None = ungated.
+
+        A round only holds at its *boundary* (``new_round``): once the
+        draft phase of a round has run, its verify phase follows ungated,
+        so the decode content — and with it transcripts and ``decode_ms``
+        — is bit-identical to the offline run.  The gate releases entirely
+        once all audio has arrived (nothing left to wait for, including the
+        final EOS round).
+        """
+        caps = self.chunk_caps
+        if caps is None or not self.new_round or now_ms >= self.audio_end_ms:
+            return None
+        current = 0
+        for at_ms, cap in caps:
+            if at_ms > now_ms:
+                break
+            current = cap
+        if self.emitted < current:
+            return None
+        for at_ms, cap in caps:
+            if at_ms > now_ms and cap > self.emitted:
+                return at_ms
+        return self.audio_end_ms
+
+    def audio_ready_ms(self, position: int) -> float:
+        """Arrival of the first chunk supporting ``position`` tokens."""
+        for at_ms, cap in self.chunk_caps or ():
+            if cap >= position:
+                return at_ms
+        return self.audio_end_ms  # lookahead tail: final only at end
+
+    def finish_stream(self, end_ms: float) -> None:
+        """Clamp the emission timeline to the EOS-stripped transcript."""
+        record = self.record
+        n = len(record.tokens)
+        # The commit stream includes the trailing EOS; the transcript
+        # doesn't, so the final commit may have over-appended by one.
+        del record.emission_ms[n:]
+        record.partials = [(t, min(c, n)) for t, c in record.partials]
+        if record.emission_ms:
+            record.finish_ms = max(end_ms, record.emission_ms[-1])
+            record.first_token_ms = record.emission_ms[0]
+        else:
+            record.finish_ms = end_ms
+            record.first_token_ms = end_ms  # empty transcript
+        # Emissions are append-only for the lossless decoder: no token, once
+        # emitted, is ever revised.  Check the structural half of the
+        # partial-stability contract here (the transcript half — streamed
+        # == offline — is enforced by the parity suite).
+        if record.revised_tokens or any(
+            earlier > later
+            for earlier, later in zip(
+                record.emission_ms, record.emission_ms[1:], strict=False
+            )
+        ):
+            raise InvariantViolation(
+                f"{record.request.request_id}: streamed emissions must be "
+                f"append-only and monotone ({record.revised_tokens} revised)"
+            )
+        # Per-chunk emission latency: for every chunk that raised the
+        # position cap, when its last due token became final, relative to
+        # the chunk's own arrival; the lookahead tail is charged against
+        # end-of-audio.
+        prev = 0
+        for at_ms, cap in self.chunk_caps or ():
+            cap = min(cap, n)
+            if cap > prev:
+                record.chunk_latencies_ms.append(record.emission_ms[cap - 1] - at_ms)
+                prev = cap
+        if n > prev:
+            record.chunk_latencies_ms.append(record.emission_ms[-1] - self.audio_end_ms)
+
+
+#: A dispatched phase copy: (session, generation, attempt, transient failure,
+#: phase).  The phase is kept because a stale copy's KV must be released under
+#: the *dispatched* model, which the session may have moved past.
+_Entry = tuple[_Active, int, int, bool, PhaseOutcome]
+
+
+class _ServeRun:
+    """One scheduler run: its cluster, request containers and clock.
+
+    A request moves ``pending`` → ``queue`` → ``inflight`` (bumped sessions
+    wait in ``preempted``; running batches sit in ``executing``).  Each
+    method handles one kind of event at ``now``.  Only ``duplicates`` and
+    ``cancelled`` are counted here; :meth:`stats` folds the rest from the
+    records, devices, plan and memory.
+    """
+
+    def __init__(
+        self,
+        scheduler: ContinuousBatchScheduler,
+        trace: Sequence[Arrival],
+        dataset: Dataset,
+        id_prefix: str,
+    ) -> None:
+        config = self.config = scheduler.config
+        cluster = scheduler.cluster
+        plan = self.plan = scheduler.faults
+        self.decoder = scheduler.decoder
+        self.stream = scheduler.stream
+        self.retry = config.retry_policy()
+        arrivals = sorted(trace, key=lambda a: (a.arrival_ms, a.index))
+        self.draft_share: float | None = None
+        if cluster.split == SPLIT_BALANCED and cluster.router != ROUTER_COLOCATED:
+            # Workload-aware pool planning: measure the draft:verify cost
+            # ratio on the first few distinct utterances of the trace.
+            # Phase costs are pure functions of (decoder, utterance), so
+            # this is deterministic and leaves transcripts untouched.
+            sample_indices: list[int] = []
+            for arrival in arrivals:
+                index = arrival.utterance_index
+                if index < len(dataset) and index not in sample_indices:
+                    sample_indices.append(index)
+                if len(sample_indices) >= PLANNER_SAMPLE_UTTERANCES:
+                    break
+            self.draft_share = measure_draft_share(
+                self.decoder, [dataset[i] for i in sample_indices]
+            )
+        memspec = scheduler.memory if scheduler.memory is not None else MemorySpec()
+        if cluster.device_specs is not None:
+            capacities = [
+                spec.memory_blocks
+                if spec.memory_blocks is not None
+                else memspec.device_blocks
+                for spec in cluster.device_specs
+            ]
+        else:
+            capacities = [memspec.device_blocks] * (cluster.devices or 1)
+        self.capacities = capacities
+        self.block_size = memspec.block_size
+        memory = self.memory = (
+            ClusterKVMemory(memspec, capacities)
+            if any(cap is not None for cap in capacities)
+            else None
+        )
+        self.devices, self.router = build_router(
+            cluster,
+            config.overlap,
+            self.draft_share,
+            memory_blocks=capacities if memory is not None else None,
+        )
+        # Lazy: the serving package must stay importable from a partially
+        # initialised repro.models (see repro.models.__getattr__).
+        from repro.models.simulated import prewarm_models, prompt_token_count
+
+        self.prompt_token_count = prompt_token_count
+        # Cross-request batched scoring: when the decoder's models expose the
+        # block oracle (``oracle_block_size > 1``), every request admitted in
+        # one scheduler round gets its anchored distributions materialised in
+        # a single grouped array pass (cache warming only — nothing is
+        # billed, so transcripts and SimClock totals are bit-identical to
+        # the lazy per-position path).  Scalar-path models opt out.
+        self.batch_models = [
+            model
+            for model in (
+                getattr(self.decoder, "draft", None),
+                getattr(self.decoder, "target", None),
+            )
+            if model is not None
+            and getattr(model, "oracle_block_size", 0) > 1
+            and callable(getattr(model, "oracle", None))
+        ]
+        self.prewarm = prewarm_models if self.batch_models else None
+        if plan is not None:
+            for device, profile in zip(
+                self.devices, plan.profiles(len(self.devices)), strict=True
+            ):
+                device.set_fault_profile(profile)
+        self.records: list[RequestRecord] = []
+        for arrival in arrivals:
+            if arrival.utterance_index >= len(dataset):
+                raise ValueError(
+                    f"arrival {arrival.index} references utterance "
+                    f"{arrival.utterance_index}, but the corpus holds only "
+                    f"{len(dataset)} — was this trace recorded against a "
+                    "larger corpus?"
+                )
+            request = ServeRequest(
+                request_id=f"{id_prefix}-{arrival.index:04d}",
+                index=arrival.index,
+                utterance=dataset[arrival.utterance_index],
+                arrival_ms=arrival.arrival_ms,
+                priority=arrival.priority,
+                rtf=arrival.rtf,
+            )
+            self.records.append(RequestRecord(request=request))
+
+        self.pending = deque(self.records)
+        self.queue = AdmissionQueue(config.queue_capacity)
+        self.inflight: list[_Active] = []
+        self.preempted: dict[int, _Active] = {}  # request index -> saved session
+        # Heap of running batches: (end_ms, tiebreak, device index, entries,
+        # aborted); the counter keeps the ordering total.
+        self.executing: list[tuple[float, int, int, list[_Entry], bool]] = []
+        self.order = itertools.count()
+        self.wakeups = deque(plan.wakeup_times()) if plan is not None else deque()
+        self.now = 0.0
+        self.last_alive: tuple[int, ...] | None = None
+        self.duplicates = 0  # straggler re-issues dispatched
+        self.cancelled = 0  # stale copies settled (first-finisher-wins)
+        # Sessions whose committed phase awaits its successor: ``commit``
+        # defers ``stepper.step_phase()`` to ``advance``, once per round, so
+        # sessions settling at one instant (a merged verify batch) advance in
+        # one coalesced pass over warm caches.  Steppers are independent, so
+        # the deferral never changes any session's own draws or billing.
+        self.advancing: list[_Active] = []
+
+    # -- shedding ----------------------------------------------------------
+    def shed_record(self, record: RequestRecord, reason: str) -> None:
+        record.status = STATUS_SHED
+        record.shed_reason = reason
+
+    def shed_active(self, active: _Active, reason: str) -> None:
+        active.gen += 1  # any outstanding copy settles as stale
+        active.running = False
+        self.shed_record(active.record, reason)
+        self.inflight.remove(active)
+        if self.memory is not None:
+            # Idle KV frees now; still-executing copies release theirs when
+            # they settle as stale.
+            self.memory.release_request(active.record.request.index)
+
+    def shed_stranded(self) -> None:
+        """Shed all remaining work: every device it could use is dead for good."""
+        for active in list(self.inflight):
+            self.shed_active(active, SHED_CAPACITY)
+        while self.queue:
+            self.shed_record(self.queue.pop(), SHED_CAPACITY)
+
+    # -- admission ---------------------------------------------------------
+    def admit(self) -> None:
+        # Arrivals up to `now` enter the queue (or bounce off it), then the
+        # queue drains into free in-flight slots in class-then-FIFO order.
+        # A waiting interactive request may preempt the newest idle batch
+        # session for its slot; the victim re-queues with its decode state
+        # intact and resumes later.
+        now_ms = self.now
+        pending = self.pending
+        queue = self.queue
+        arrived: list[RequestRecord] = []
+        while pending and pending[0].request.arrival_ms <= now_ms:
+            record = pending.popleft()
+            arrived.append(record)
+            queue.offer(record)
+        if self.prewarm is not None and arrived:
+            # Admission-batch prewarm: one grouped array pass covers every
+            # (model, utterance) pair arriving this round, before any of
+            # their sessions computes its first phase.
+            self.prewarm(self.batch_models, [r.request.utterance for r in arrived])
+        config = self.config
+        inflight = self.inflight
+        while queue:
+            if len(inflight) >= config.max_inflight:
+                if queue.next_priority() != PRIORITY_INTERACTIVE or not self.preempt():
+                    break
+                continue
+            record = queue.pop()
+            request = record.request
+            deadline = (
+                config.batch_deadline_ms
+                if request.priority == PRIORITY_BATCH
+                else config.admission_deadline_ms
+            )
+            resumed = self.preempted.pop(request.index, None)
+            if deadline is not None and now_ms - request.arrival_ms > deadline:
+                # The SLO is already blown while still queued: shed now
+                # instead of burning device time on a lost cause.
+                self.shed_record(record, SHED_DEADLINE)
+                continue
+            if resumed is not None:
+                resumed.running = False
+                resumed.ready_ms = now_ms
+                inflight.append(resumed)
+                continue
+            record.service_start_ms = now_ms
+            active = _Active(record, self.decoder.begin(request.utterance), now_ms)
+            active.start_stream(self.stream)
+            if self.memory is not None:
+                utterance = request.utterance
+                active.prompt = self.prompt_token_count(utterance)
+                active.prompt_key = (
+                    getattr(utterance, "utterance_id", None) or request.request_id
+                )
+            inflight.append(active)
+
+    def preempt(self) -> bool:
+        """Bump the newest idle batch session; False when none is bumpable."""
+        victims = [
+            active
+            for active in self.inflight
+            if active.record.request.priority == PRIORITY_BATCH
+            and not active.running
+            and active.live == 0
+        ]
+        if not victims:
+            return False
+        victim = max(victims, key=lambda a: a.record.request.index)
+        victim.gen += 1
+        self.inflight.remove(victim)
+        record = victim.record
+        record.preemptions += 1
+        if self.memory is not None:
+            # The bumped session's KV leaves the cluster; resume pays a
+            # re-prefill like any evicted session.
+            self.memory.release_request(record.request.index, evicted=True)
+        queue = self.queue
+        if len(queue) >= queue.capacity:
+            # Nowhere to park the session: give up on it rather than
+            # deadlock the slot it was just bumped from.
+            self.shed_record(record, SHED_CAPACITY)
+        else:
+            self.preempted[record.request.index] = victim
+            queue.offer(record)
+        return True
+
+    # -- dispatch ----------------------------------------------------------
+    def admit_blocks(self, device_index: int, active: _Active) -> float | None:
+        """Reserve KV blocks for the next phase; None = does not fit."""
+        phase = active.phase
+        return self.memory.admit(
+            device_index,
+            active.record.request.index,
+            phase.model,
+            active.prompt_key,
+            phase.kv_peak,
+            active.resident_tokens(phase.model),
+        )
+
+    def maybe_shed_memory(self, active: _Active) -> None:
+        # Deferred-for-blocks is normal; shed only when the phase's demand
+        # exceeds every pool device's *total* capacity — no amount of
+        # eviction will ever make it fit.
+        memory = self.memory
+        demand = memory.phase_demand(
+            active.phase.kv_peak, active.resident_tokens(active.phase.model)
+        )
+        pool = self.router.pool_devices(active.phase)
+        if pool and not memory.fits_anywhere(demand, (device.index for device in pool)):
+            self.shed_active(active, SHED_MEMORY)
+
+    def launch(
+        self,
+        device: Device,
+        batch: list[_Active],
+        penalties: Sequence[float] | None = None,
+    ) -> None:
+        """Execute ``batch`` on ``device`` at ``now``, folding in the fault plan."""
+        now_ms = self.now
+        plan = self.plan
+        merge_verify = self.router.merge_verify
+        phases = [active.phase for active in batch]
+        if penalties is not None:
+            # Re-prefill after an eviction inflates *device* time for this
+            # execution only; the phase object on the active stays pristine,
+            # so transcripts and decode_ms never see it.
+            phases = [
+                replace(phase, ms=phase.ms + penalty) if penalty else phase
+                for phase, penalty in zip(phases, penalties, strict=True)
+            ]
+        crash = None
+        if plan is not None and device.faults.crash_ms is not None:
+            start = max(now_ms, device.free_at)
+            busy = device.batch_busy_ms(phases, merge_verify=merge_verify, at_ms=start)
+            crash = device.faults.crash_during(start, start + busy)
+        end = device.execute(now_ms, phases, merge_verify=merge_verify, abort_ms=crash)
+        entries = []
+        for active in batch:
+            attempt = active.attempts + 1
+            failed = plan is not None and plan.phase_fails(
+                active.record.request.index, active.phase_index, attempt
+            )
+            entries.append((active, active.gen, attempt, failed, active.phase))
+            active.running = True
+            active.live += 1
+            active.projected_end = end
+            active.device_index = device.index
+        heapq.heappush(
+            self.executing,
+            (end, next(self.order), device.index, entries, crash is not None),
+        )
+
+    def dispatch(self) -> None:
+        # Waiting phases route in class-then-FIFO order (priority rank, ready
+        # time, request index) so least-loaded routers see them in a
+        # deterministic sequence; each free device then takes up to
+        # max_batch of the phases routed to it, still in that order.
+        now_ms = self.now
+        router = self.router
+        devices = self.devices
+        if self.plan is not None:
+            alive = tuple(
+                device.index for device in devices if not device.is_dead(now_ms)
+            )
+            if alive != self.last_alive:
+                # Membership changed (crash or warm restart): the pool
+                # planner re-plans over the survivors.
+                router.on_membership_change(alive)
+                self.last_alive = alive
+            router.plan_round(
+                now_ms,
+                available=[
+                    device.index for device in devices if device.available(now_ms)
+                ],
+                speeds={
+                    device.index: device.effective_speed(now_ms) for device in devices
+                },
+            )
+        else:
+            router.plan_round(now_ms)
+        waiting = []
+        for active in self.inflight:
+            if active.running or active.ready_ms > now_ms:
+                continue
+            gate = active.stream_gate_ms(now_ms)
+            if gate is not None:
+                # Audio hasn't reached the positions the next round would
+                # decode: park the session until the cap-raising chunk
+                # arrives (the backoff machinery wakes the loop).
+                active.ready_ms = gate
+                continue
+            waiting.append(active)
+        waiting.sort(
+            key=lambda a: (
+                priority_rank(a.record.request.priority),
+                a.ready_ms,
+                a.record.request.index,
+            )
+        )
+        waiting_at: dict[int, list[_Active]] = {}
+        for active in waiting:
+            device = router.route(active.record.request.index, active.phase)
+            if device is None:
+                continue  # whole pool dead/stalled; the phase waits
+            waiting_at.setdefault(device.index, []).append(active)
+        memory = self.memory
+        max_batch = self.config.max_batch
+        launch = self.launch
+        for device in devices:
+            if device.free_at > now_ms or not device.available(now_ms):
+                continue
+            routed = waiting_at.get(device.index)
+            if not routed:
+                continue
+            if memory is None:
+                launch(device, routed[:max_batch])
+                continue
+            # Memory gate: the batch is built phase by phase through the
+            # block allocator, so its size emerges from free blocks
+            # (max_batch stays the upper bound — the parity contract).
+            batch: list[_Active] = []
+            penalties: list[float] = []
+            for active in routed:
+                if len(batch) >= max_batch:
+                    break
+                grant = self.admit_blocks(device.index, active)
+                if grant is None:
+                    self.maybe_shed_memory(active)
+                    continue
+                batch.append(active)
+                penalties.append(grant)
+            if batch:
+                launch(device, batch, penalties)
+        if self.config.straggler_factor > 0:
+            self.reissue_stragglers()
+
+    def reissue_stragglers(self) -> None:
+        # A running phase whose remaining time exceeds k x the median
+        # remaining time of its phase kind is duplicated on the fastest idle
+        # pool peer; the first copy to finish commits (the other settles as
+        # stale), and live == 1 keeps one hedge per execution.
+        now_ms = self.now
+        by_kind: dict[str, list[_Active]] = {}
+        for active in self.inflight:
+            if active.running and active.live == 1 and active.projected_end > now_ms:
+                by_kind.setdefault(active.phase.phase, []).append(active)
+        for kind in sorted(by_kind):
+            group = by_kind[kind]
+            remaining = sorted(active.projected_end - now_ms for active in group)
+            threshold = self.config.straggler_factor * remaining[len(remaining) // 2]
+            for active in sorted(group, key=lambda a: a.record.request.index):
+                if active.projected_end - now_ms <= threshold:
+                    continue
+                peers = [
+                    device
+                    for device in self.router.pool_devices(active.phase)
+                    if device.free_at <= now_ms
+                    and device.available(now_ms)
+                    and device.index != active.device_index
+                ]
+                if not peers:
+                    continue
+                peer = max(peers, key=lambda d: (d.effective_speed(now_ms), -d.index))
+                if self.memory is not None:
+                    grant = self.admit_blocks(peer.index, active)
+                    if grant is None:
+                        continue  # no blocks for a hedge copy
+                    self.launch(peer, [active], [grant])
+                else:
+                    self.launch(peer, [active])
+                self.duplicates += 1
+
+    # -- time --------------------------------------------------------------
+    def next_event_ms(self) -> float | None:
+        """When the next event fires; None when none ever will again."""
+        now = self.now
+        # Parked sessions (retry backoffs, audio gates) becoming ready.
+        times = [
+            active.ready_ms
+            for active in self.inflight
+            if not active.running and active.ready_ms > now
+        ]
+        if self.executing:
+            times.append(self.executing[0][0])
+        if self.pending:
+            times.append(self.pending[0].request.arrival_ms)
+        wakeups = self.wakeups
+        while wakeups and wakeups[0] <= now:
+            wakeups.popleft()
+        if wakeups and (self.inflight or self.queue or self.pending):
+            times.append(wakeups[0])
+        return min(times, default=None)
+
+    # -- completion --------------------------------------------------------
+    def complete(self) -> None:
+        """Settle every copy in the batches that have ended by ``now``."""
+        executing = self.executing
+        settle = self.settle
+        while executing and executing[0][0] <= self.now:
+            end, _, device_index, entries, aborted = heapq.heappop(executing)
+            for entry in entries:
+                settle(entry, end, aborted, device_index)
+
+    def settle(
+        self, entry: _Entry, end_ms: float, aborted: bool, device_index: int
+    ) -> None:
+        active, gen, attempt, transient, phase = entry
+        active.live -= 1
+        stale = active.gen != gen
+        if not stale and not aborted and not transient:
+            self.commit(active, end_ms, device_index)
+            return
+        if self.memory is not None:
+            # A stale copy's KV is superseded; a failed copy's is gone with
+            # the failure (if no sibling copy holds one elsewhere, the retry
+            # pays a re-prefill on admission).
+            self.memory.settle(
+                device_index,
+                active.record.request.index,
+                phase.model,
+                active.prompt_key,
+                0,
+                committed=False,
+            )
+        if stale:
+            # A sibling copy already committed this phase, or the phase was
+            # requeued/shed after a crash.
+            self.cancelled += 1
+            return
+        # The copy failed (crash abort or transient phase error).  The
+        # stepper never advanced, so the same phase object re-dispatches and
+        # the decode resumes from its last committed state.
+        record = active.record
+        record.retries += 1
+        if active.live > 0:
+            return  # a sibling copy is still in flight; let it decide
+        active.gen += 1
+        active.running = False
+        active.attempts = attempt
+        if self.retry.exhausted(attempt):
+            self.shed_active(active, SHED_RETRIES)
+            return
+        record.requeues += 1
+        active.ready_ms = end_ms + self.retry.backoff_for(attempt)
+
+    def commit(self, active: _Active, end_ms: float, device_index: int) -> None:
+        outcome = active.phase
+        record = active.record
+        active.gen += 1  # sibling straggler copies settle as stale
+        active.running = False
+        active.ready_ms = end_ms
+        active.attempts = 0
+        active.phase_index += 1
+        memory = self.memory
+        if memory is not None:
+            active.committed += len(outcome.new_tokens)
+            active.prefilled.add(outcome.model)
+            memory.settle(
+                device_index,
+                record.request.index,
+                outcome.model,
+                active.prompt_key,
+                active.prompt + active.committed,
+                committed=True,
+            )
+        active.new_round = outcome.round_done
+        if outcome.round_done:
+            record.rounds += 1
+        streamed = active.chunk_caps is not None
+        if streamed and outcome.new_tokens:
+            # A committed token becomes *final* (client-visible) only once
+            # its supporting audio has arrived: emission time is
+            # max(commit, audio ready).  Tokens the round decoded ahead of
+            # the stream are future-dated, never revised.
+            first = active.emitted + 1
+            active.emitted += len(outcome.new_tokens)
+            for position in range(first, active.emitted + 1):
+                record.emission_ms.append(max(end_ms, active.audio_ready_ms(position)))
+            record.partials.append((record.emission_ms[-1], active.emitted))
+        if outcome.new_tokens and record.first_token_ms is None:
+            record.first_token_ms = record.emission_ms[0] if streamed else end_ms
+        if not outcome.done:
+            # Deferred to the per-round coalesced drain (``advance``):
+            # nothing reads ``active.phase`` before it runs.
+            self.advancing.append(active)
+            return
+        result = active.stepper.result
+        record.status = STATUS_COMPLETED
+        record.finish_ms = end_ms
+        record.tokens = list(result.tokens)
+        record.decode_ms = result.total_ms
+        if record.first_token_ms is None:
+            record.first_token_ms = end_ms  # empty transcript
+        if streamed:
+            active.finish_stream(end_ms)
+        self.inflight.remove(active)
+        if memory is not None:
+            memory.release_request(record.request.index)
+
+    def advance(self) -> None:
+        """Compute the successor phase of every session committed this round."""
+        advancing = self.advancing
+        if not advancing:
+            return
+        if self.prewarm is not None and len(advancing) > 1:
+            # Two or more sessions advance at this instant (e.g. a
+            # merged-verify batch just committed): re-warm their oracles in
+            # one grouped pass so each ``step_phase`` below reads cached
+            # blocks.  A no-op when the admission prewarm is still resident;
+            # it only recomputes blocks the oracle LRU has since evicted.
+            units = []
+            seen = set()
+            for active in advancing:
+                unit = active.record.request.utterance
+                key = getattr(unit, "content_key", None) or id(unit)
+                if key not in seen:
+                    seen.add(key)
+                    units.append(unit)
+            self.prewarm(self.batch_models, units)
+        for active in advancing:
+            active.phase = active.stepper.step_phase()
+        advancing.clear()
+
+    # -- result ------------------------------------------------------------
+    def stats(self) -> ScheduleStats:
+        """Fold the run's totals from its records, devices, plan and memory."""
+        devices = self.devices
+        records = self.records
+        plan = self.plan
+        memory = self.memory
+        memory_fields = {}
+        if memory is not None:
+            memory_fields = {
+                "memory_blocks": tuple(self.capacities),
+                "peak_memory_blocks": memory.peaks,
+                "block_size": self.block_size,
+                "evictions": memory.evictions,
+                "evicted_blocks": memory.evicted_blocks,
+                "prefix_reuse_hits": memory.reuse_hits,
+                "reprefill_ms": memory.reprefill_ms,
+                "memory_stalls": memory.stalls,
+            }
+        return ScheduleStats(
+            sim_end_ms=self.now,
+            device_busy_ms=sum(device.busy_ms for device in devices),
+            batches=sum(device.batches for device in devices),
+            rounds=sum(device.phases for device in devices),
+            peak_queue_depth=self.queue.peak_depth,
+            rejected=self.queue.rejected,
+            devices=len(devices),
+            per_device_busy_ms=tuple(device.busy_ms for device in devices),
+            device_speeds=tuple(device.speed for device in devices),
+            device_roles=self.router.device_roles(),
+            draft_share=self.draft_share,
+            retries=sum(record.retries for record in records),
+            requeues=sum(record.requeues for record in records),
+            preemptions=sum(record.preemptions for record in records),
+            shed=sum(1 for record in records if record.status == STATUS_SHED),
+            duplicates=self.duplicates,
+            cancelled=self.cancelled,
+            displaced=self.queue.displaced,
+            degraded_ms=(
+                plan.degraded_ms(len(devices), self.now) if plan is not None else 0.0
+            ),
+            wasted_busy_ms=sum(device.wasted_ms for device in devices),
+            fault_events=len(plan.events) if plan is not None else 0,
+            **memory_fields,
+        )
+
 
 class ContinuousBatchScheduler:
     """Serve an arrival trace with one decoder on a simulated cluster.
@@ -341,10 +1070,8 @@ class ContinuousBatchScheduler:
     (:class:`~repro.serving.memory.MemorySpec`); it activates when the spec
     sets ``device_blocks`` or any device spec carries an ``@BLOCKS``
     capacity, and per-device capacities override the spec default.  After
-    :meth:`run`, ``last_dispatch_log`` holds one
-    ``(device_index, start_ms, end_ms, phases, aborted)`` tuple per
-    executed micro-batch — the audit trail the invariant suite checks
-    ("no phase starts on a dead device") against the plan.
+    :meth:`run` (an event loop over one private run object, see the module
+    docstring), ``last_stats`` holds the run's :class:`ScheduleStats`.
     """
 
     def __init__(
@@ -359,7 +1086,7 @@ class ContinuousBatchScheduler:
         self.decoder = decoder
         self.config = config or SchedulerConfig()
         self.cluster = cluster or ClusterConfig()
-        self.faults = faults if faults is not None and faults else None
+        self.faults = faults or None  # an empty plan is the fault-free loop
         if self.faults is not None:
             self.faults.validate_for(self.cluster.devices)
         self.memory = memory
@@ -367,7 +1094,6 @@ class ContinuousBatchScheduler:
         # a request streams is the arrival's own rtf, not this spec.
         self.stream = stream if stream is not None else StreamSpec()
         self.last_stats: ScheduleStats | None = None
-        self.last_dispatch_log: list[tuple[int, float, float, int, bool]] = []
 
     def run(
         self,
@@ -381,747 +1107,18 @@ class ContinuousBatchScheduler:
         rejected requests keep ``STATUS_REJECTED`` with an empty timeline
         and shed requests ``STATUS_SHED`` plus a ``shed_reason``.
         """
-        config = self.config
-        plan = self.faults
-        retry = config.retry_policy()
-        arrivals = sorted(trace, key=lambda a: (a.arrival_ms, a.index))
-        draft_share = None
-        if (
-            self.cluster.split == SPLIT_BALANCED
-            and self.cluster.router != ROUTER_COLOCATED
-        ):
-            # Workload-aware pool planning: measure the draft:verify cost
-            # ratio on the first few distinct utterances of the trace.
-            # Phase costs are pure functions of (decoder, utterance), so
-            # this is deterministic and leaves transcripts untouched.
-            sample_indices: list[int] = []
-            for arrival in arrivals:
-                index = arrival.utterance_index
-                if index < len(dataset) and index not in sample_indices:
-                    sample_indices.append(index)
-                if len(sample_indices) >= PLANNER_SAMPLE_UTTERANCES:
-                    break
-            draft_share = measure_draft_share(
-                self.decoder, [dataset[i] for i in sample_indices]
-            )
-        memspec = self.memory if self.memory is not None else MemorySpec()
-        if self.cluster.device_specs is not None:
-            capacities = [
-                spec.memory_blocks
-                if spec.memory_blocks is not None
-                else memspec.device_blocks
-                for spec in self.cluster.device_specs
-            ]
-        else:
-            capacities = [memspec.device_blocks] * (self.cluster.devices or 1)
-        memory = (
-            ClusterKVMemory(memspec, capacities)
-            if any(cap is not None for cap in capacities)
-            else None
-        )
-        devices, router = build_router(
-            self.cluster,
-            config.overlap,
-            draft_share,
-            memory_blocks=capacities if memory is not None else None,
-        )
-        if memory is not None:
-            # Lazy: the serving package must stay importable from a partially
-            # initialised repro.models (see repro.models.__getattr__).
-            from repro.models.simulated import prompt_token_count
-        # Cross-request batched scoring: when the decoder's models expose the
-        # block oracle (``oracle_block_size > 1``), every request admitted in
-        # one scheduler round gets its anchored distributions materialised in
-        # a single grouped array pass (cache warming only — nothing is
-        # billed, so transcripts and SimClock totals are bit-identical to
-        # the lazy per-position path).  Scalar-path models opt out.
-        batch_models = [
-            model
-            for model in (
-                getattr(self.decoder, "draft", None),
-                getattr(self.decoder, "target", None),
-            )
-            if model is not None
-            and getattr(model, "oracle_block_size", 0) > 1
-            and callable(getattr(model, "oracle", None))
-        ]
-        prewarm = None
-        if batch_models:
-            # Lazy for the same partial-initialisation reason as above.
-            from repro.models.simulated import prewarm_models as prewarm
-        if plan is not None:
-            for device, profile in zip(
-                devices, plan.profiles(len(devices)), strict=True
-            ):
-                device.set_fault_profile(profile)
-        records = []
-        for arrival in arrivals:
-            if arrival.utterance_index >= len(dataset):
-                raise ValueError(
-                    f"arrival {arrival.index} references utterance "
-                    f"{arrival.utterance_index}, but the corpus holds only "
-                    f"{len(dataset)} — was this trace recorded against a "
-                    "larger corpus?"
-                )
-            utterance = dataset[arrival.utterance_index]
-            request = ServeRequest(
-                request_id=f"{id_prefix}-{arrival.index:04d}",
-                index=arrival.index,
-                utterance=utterance,
-                arrival_ms=arrival.arrival_ms,
-                priority=arrival.priority,
-                rtf=arrival.rtf,
-            )
-            records.append(RequestRecord(request=request))
-
-        pending = deque(records)
-        queue = AdmissionQueue(config.queue_capacity)
-        inflight: list[_Active] = []
-        preempted: dict[int, _Active] = {}  # request index -> saved session
-        # Batches in flight: (end_ms, tiebreak, device index, entries,
-        # aborted).  Entries are (active, gen, attempt, transient-failure,
-        # dispatched phase) tuples — the phase is kept because a stale
-        # copy's KV must be released under the *dispatched* model, which
-        # the active may have moved past.  The counter keeps heap ordering
-        # total without comparing entries.
-        executing: list[
-            tuple[
-                float,
-                int,
-                int,
-                list[tuple[_Active, int, int, bool, PhaseOutcome]],
-                bool,
-            ]
-        ] = []
-        order = itertools.count()
-        wakeups = deque(plan.wakeup_times()) if plan is not None else deque()
-        now = 0.0
-        last_alive: tuple[int, ...] | None = None
-        tally = {
-            "retries": 0,
-            "requeues": 0,
-            "preemptions": 0,
-            "shed": 0,
-            "duplicates": 0,
-            "cancelled": 0,
-        }
-        dispatch_log = self.last_dispatch_log = []
-        # Sessions whose committed phase awaits its successor: the advance
-        # (``stepper.step_phase()``) is deferred out of ``commit`` and
-        # drained once per scheduler round, so every session that settled at
-        # the same simulated instant advances through one coalesced pass
-        # over warm caches (the merged router regularly commits whole verify
-        # batches at one end time).  Steppers are independent, so the
-        # deferral never changes any session's own draws or billing.
-        advancing: list[_Active] = []
-
-        def deadline_for(record: RequestRecord) -> float | None:
-            if record.request.priority == PRIORITY_BATCH:
-                return config.batch_deadline_ms
-            return config.admission_deadline_ms
-
-        def shed_record(record: RequestRecord, reason: str) -> None:
-            record.status = STATUS_SHED
-            record.shed_reason = reason
-            tally["shed"] += 1
-
-        def shed_active(active: _Active, reason: str) -> None:
-            active.gen += 1  # any outstanding copy settles as stale
-            active.running = False
-            shed_record(active.record, reason)
-            inflight.remove(active)
-            if memory is not None:
-                # Idle KV frees now; still-executing copies release theirs
-                # when they settle as stale.
-                memory.release_request(active.record.request.index)
-
-        def resident_tokens(active: _Active, model: str) -> int:
-            # A model's KV is resident only once its first phase committed
-            # (the prefill); from then on it holds prompt + committed tokens.
-            if model in active.prefilled:
-                return active.prompt + active.committed
-            return 0
-
-        def admit_blocks(
-            device_index: int, active: _Active
-        ) -> float | None:
-            """Reserve KV blocks for the next phase; None = does not fit."""
-            phase = active.phase
-            return memory.admit(
-                device_index,
-                active.record.request.index,
-                phase.model,
-                active.prompt_key,
-                phase.kv_peak,
-                resident_tokens(active, phase.model),
-            )
-
-        def maybe_shed_memory(active: _Active) -> None:
-            # Deferred-for-blocks is normal; shed only when the phase's
-            # demand exceeds every pool device's *total* capacity — no
-            # amount of eviction will ever make it fit.
-            demand = memory.phase_demand(
-                active.phase.kv_peak,
-                resident_tokens(active, active.phase.model),
-            )
-            pool = router.pool_devices(active.phase)
-            if pool and not memory.fits_anywhere(
-                demand, (device.index for device in pool)
-            ):
-                shed_active(active, SHED_MEMORY)
-
-        stream = self.stream
-
-        def init_streaming(active: _Active) -> None:
-            """Expand a streamed request into its audio-chunk timeline."""
-            request = active.record.request
-            if request.rtf <= 0:
-                return
-            utterance = request.utterance
-            events = chunk_schedule(request, utterance.duration_s, stream.chunk_s)
-            active.chunk_caps = tuple(
-                (at_ms, positions_available(utterance, heard_s, stream.lookahead_s))
-                for at_ms, heard_s in events
-            )
-            active.audio_end_ms = events[-1][0]
-            active.record.audio_end_ms = active.audio_end_ms
-            active.record.stream_chunks = len(events)
-
-        def stream_gate_ms(active: _Active, now_ms: float) -> float | None:
-            """When the audio cap next allows a new round; None = ungated.
-
-            A round only holds at its *boundary* (``new_round``): once the
-            draft phase of a round has run, its verify phase follows
-            ungated, so the decode content — and with it transcripts and
-            ``decode_ms`` — is bit-identical to the offline run.  The gate
-            releases entirely once all audio has arrived (nothing left to
-            wait for, including the final EOS round).
-            """
-            caps = active.chunk_caps
-            if caps is None or not active.new_round:
-                return None
-            if now_ms >= active.audio_end_ms:
-                return None
-            current = 0
-            for at_ms, cap in caps:
-                if at_ms > now_ms:
-                    break
-                current = cap
-            if active.emitted < current:
-                return None
-            for at_ms, cap in caps:
-                if at_ms > now_ms and cap > active.emitted:
-                    return at_ms
-            return active.audio_end_ms
-
-        def audio_ready_ms(active: _Active, position: int) -> float:
-            """Arrival of the first chunk supporting ``position`` tokens."""
-            for at_ms, cap in active.chunk_caps:
-                if cap >= position:
-                    return at_ms
-            return active.audio_end_ms  # lookahead tail: final only at end
-
-        def finalize_streaming(active: _Active, end_ms: float) -> None:
-            """Clamp the emission timeline to the EOS-stripped transcript."""
-            record = active.record
-            n = len(record.tokens)
-            # The commit stream includes the trailing EOS; the transcript
-            # doesn't, so the final commit may have over-appended by one.
-            del record.emission_ms[n:]
-            record.partials = [(t, min(c, n)) for t, c in record.partials]
-            if record.emission_ms:
-                record.finish_ms = max(end_ms, record.emission_ms[-1])
-                record.first_token_ms = record.emission_ms[0]
-            else:
-                record.finish_ms = end_ms
-                record.first_token_ms = end_ms  # empty transcript
-            # Emissions are append-only for the lossless decoder: no token,
-            # once emitted, is ever revised.  Check the structural half of
-            # the partial-stability contract here (the transcript half —
-            # streamed == offline — is enforced by the parity suite).
-            if record.revised_tokens or any(
-                earlier > later
-                for earlier, later in zip(
-                    record.emission_ms, record.emission_ms[1:], strict=False
-                )
-            ):
-                raise InvariantViolation(
-                    f"{record.request.request_id}: streamed emissions must be "
-                    f"append-only and monotone ({record.revised_tokens} revised)"
-                )
-            # Per-chunk emission latency: for every chunk that raised the
-            # position cap, when its last due token became final, relative
-            # to the chunk's own arrival; the lookahead tail is charged
-            # against end-of-audio.
-            prev = 0
-            for at_ms, cap in active.chunk_caps:
-                cap = min(cap, n)
-                if cap > prev:
-                    record.chunk_latencies_ms.append(
-                        record.emission_ms[cap - 1] - at_ms
-                    )
-                    prev = cap
-            if n > prev:
-                record.chunk_latencies_ms.append(
-                    record.emission_ms[-1] - active.audio_end_ms
-                )
-
-        def preempt_victim() -> _Active | None:
-            """Newest idle batch session, or None when nothing is bumpable."""
-            victims = [
-                active
-                for active in inflight
-                if active.record.request.priority == PRIORITY_BATCH
-                and not active.running
-                and active.live == 0
-            ]
-            if not victims:
-                return None
-            return max(victims, key=lambda a: a.record.request.index)
-
-        def admit(now_ms: float) -> None:
-            # Arrivals up to `now_ms` enter the queue (or bounce off it),
-            # then the queue drains into free in-flight slots in class-then-
-            # FIFO order.  A waiting interactive request may preempt the
-            # newest idle batch session for its slot; the victim re-queues
-            # with its decode state intact and resumes later.
-            arrived: list[RequestRecord] = []
-            while pending and pending[0].request.arrival_ms <= now_ms:
-                record = pending.popleft()
-                arrived.append(record)
-                queue.offer(record)
-            if prewarm is not None and arrived:
-                # Admission-batch prewarm: one grouped array pass covers
-                # every (model, utterance) pair arriving this round, before
-                # any of their sessions computes its first phase.
-                prewarm(
-                    batch_models, [r.request.utterance for r in arrived]
-                )
-            while queue:
-                if len(inflight) >= config.max_inflight:
-                    if queue.next_priority() != PRIORITY_INTERACTIVE:
-                        break
-                    victim = preempt_victim()
-                    if victim is None:
-                        break
-                    victim.gen += 1
-                    inflight.remove(victim)
-                    victim.record.preemptions += 1
-                    tally["preemptions"] += 1
-                    if memory is not None:
-                        # The bumped session's KV leaves the cluster; resume
-                        # pays a re-prefill like any evicted session.
-                        memory.release_request(
-                            victim.record.request.index, evicted=True
-                        )
-                    if len(queue) >= queue.capacity:
-                        # Nowhere to park the session: give up on it rather
-                        # than deadlock the slot it was just bumped from.
-                        shed_record(victim.record, SHED_CAPACITY)
-                    else:
-                        preempted[victim.record.request.index] = victim
-                        queue.offer(victim.record)
-                    continue
-                record = queue.pop()
-                deadline = deadline_for(record)
-                if (
-                    deadline is not None
-                    and now_ms - record.request.arrival_ms > deadline
-                ):
-                    # The SLO is already blown while still queued: shed now
-                    # instead of burning device time on a lost cause.
-                    preempted.pop(record.request.index, None)
-                    shed_record(record, SHED_DEADLINE)
-                    continue
-                resumed = preempted.pop(record.request.index, None)
-                if resumed is not None:
-                    resumed.running = False
-                    resumed.ready_ms = now_ms
-                    inflight.append(resumed)
-                    continue
-                record.service_start_ms = now_ms
-                stepper = self.decoder.begin(record.request.utterance)
-                active = _Active(record, stepper, now_ms)
-                init_streaming(active)
-                if memory is not None:
-                    utterance = record.request.utterance
-                    active.prompt = prompt_token_count(utterance)
-                    active.prompt_key = (
-                        getattr(utterance, "utterance_id", None)
-                        or record.request.request_id
-                    )
-                inflight.append(active)
-
-        def launch(
-            device: Device,
-            batch: list[_Active],
-            now_ms: float,
-            penalties: Sequence[float] | None = None,
-        ) -> None:
-            """Execute ``batch`` on ``device``, folding in the fault plan."""
-            start = max(now_ms, device.free_at)
-            phases = [active.phase for active in batch]
-            if penalties is not None:
-                # Re-prefill after an eviction inflates *device* time for
-                # this execution only; the phase object on the active stays
-                # pristine, so transcripts and decode_ms never see it.
-                phases = [
-                    replace(phase, ms=phase.ms + penalty) if penalty else phase
-                    for phase, penalty in zip(phases, penalties, strict=True)
-                ]
-            crash = None
-            if plan is not None and device.faults.crash_ms is not None:
-                busy = device.batch_busy_ms(
-                    phases, merge_verify=router.merge_verify, at_ms=start
-                )
-                crash = device.faults.crash_during(start, start + busy)
-            end = device.execute(
-                now_ms,
-                phases,
-                merge_verify=router.merge_verify,
-                abort_ms=crash,
-            )
-            entries = []
-            for active in batch:
-                attempt = active.attempts + 1
-                failed = plan is not None and plan.phase_fails(
-                    active.record.request.index, active.phase_index, attempt
-                )
-                entries.append((active, active.gen, attempt, failed, active.phase))
-                active.running = True
-                active.live += 1
-                active.projected_end = end
-                active.device_index = device.index
-            aborted = crash is not None
-            heapq.heappush(
-                executing, (end, next(order), device.index, entries, aborted)
-            )
-            dispatch_log.append((device.index, start, end, len(batch), aborted))
-
-        def dispatch(now_ms: float) -> None:
-            # Waiting phases route in class-then-FIFO order (priority rank,
-            # ready time, request index) so least-loaded routers see them in
-            # a deterministic sequence; each free device then takes up to
-            # max_batch of the phases routed to it, still in that order.
-            if plan is not None:
-                nonlocal last_alive
-                alive = tuple(
-                    device.index for device in devices if not device.is_dead(now_ms)
-                )
-                if alive != last_alive:
-                    # Membership changed (crash or warm restart): the pool
-                    # planner re-plans over the survivors.
-                    router.on_membership_change(alive)
-                    last_alive = alive
-                router.plan_round(
-                    now_ms,
-                    available=[
-                        device.index
-                        for device in devices
-                        if device.available(now_ms)
-                    ],
-                    speeds={
-                        device.index: device.effective_speed(now_ms)
-                        for device in devices
-                    },
-                )
-            else:
-                router.plan_round(now_ms)
-            waiting = []
-            for active in inflight:
-                if active.running or active.ready_ms > now_ms:
-                    continue
-                gate = stream_gate_ms(active, now_ms)
-                if gate is not None:
-                    # Audio hasn't reached the positions the next round
-                    # would decode: park the session until the cap-raising
-                    # chunk arrives (the backoff machinery wakes the loop).
-                    active.ready_ms = gate
-                    continue
-                waiting.append(active)
-            waiting.sort(
-                key=lambda a: (
-                    priority_rank(a.record.request.priority),
-                    a.ready_ms,
-                    a.record.request.index,
-                )
-            )
-            waiting_at: dict[int, list[_Active]] = {}
-            for active in waiting:
-                device = router.route(active.record.request.index, active.phase)
-                if device is None:
-                    continue  # whole pool dead/stalled; the phase waits
-                waiting_at.setdefault(device.index, []).append(active)
-            for device in devices:
-                if device.free_at > now_ms or not device.available(now_ms):
-                    continue
-                routed = waiting_at.get(device.index)
-                if not routed:
-                    continue
-                if memory is None:
-                    launch(device, routed[: config.max_batch], now_ms)
-                    continue
-                # Memory gate: the batch is built phase by phase through the
-                # block allocator, so its size emerges from free blocks
-                # (max_batch stays the upper bound — the parity contract).
-                batch: list[_Active] = []
-                penalties: list[float] = []
-                for active in routed:
-                    if len(batch) >= config.max_batch:
-                        break
-                    grant = admit_blocks(device.index, active)
-                    if grant is None:
-                        maybe_shed_memory(active)
-                        continue
-                    batch.append(active)
-                    penalties.append(grant)
-                if batch:
-                    launch(device, batch, now_ms, penalties)
-            if config.straggler_factor > 0:
-                reissue_stragglers(now_ms)
-
-        def reissue_stragglers(now_ms: float) -> None:
-            # A running phase whose projected completion exceeds k x its
-            # pool's median is duplicated on the fastest idle pool peer;
-            # whichever copy finishes first commits (the other settles as
-            # stale).  live == 1 keeps one hedge per execution.
-            running = [
-                active
-                for active in inflight
-                if active.running and active.live == 1 and active.projected_end > now_ms
-            ]
-            by_kind: dict[str, list[_Active]] = {}
-            for active in running:
-                by_kind.setdefault(active.phase.phase, []).append(active)
-            for kind in sorted(by_kind):
-                group = by_kind[kind]
-                ends = sorted(active.projected_end for active in group)
-                median = ends[len(ends) // 2]
-                threshold = config.straggler_factor * median
-                for active in sorted(group, key=lambda a: a.record.request.index):
-                    if active.projected_end <= threshold:
-                        continue
-                    peers = [
-                        device
-                        for device in router.pool_devices(active.phase)
-                        if device.free_at <= now_ms
-                        and device.available(now_ms)
-                        and device.index != active.device_index
-                    ]
-                    if not peers:
-                        continue
-                    peer = max(
-                        peers,
-                        key=lambda d: (d.effective_speed(now_ms), -d.index),
-                    )
-                    if memory is not None:
-                        grant = admit_blocks(peer.index, active)
-                        if grant is None:
-                            continue  # no blocks for a hedge copy
-                        launch(peer, [active], now_ms, [grant])
-                    else:
-                        launch(peer, [active], now_ms)
-                    tally["duplicates"] += 1
-
-        def commit(active: _Active, end_ms: float, device_index: int) -> None:
-            outcome = active.phase
-            record = active.record
-            active.gen += 1  # sibling straggler copies settle as stale
-            active.running = False
-            active.ready_ms = end_ms
-            active.attempts = 0
-            active.phase_index += 1
-            if memory is not None:
-                active.committed += len(outcome.new_tokens)
-                active.prefilled.add(outcome.model)
-                memory.settle(
-                    device_index,
-                    record.request.index,
-                    outcome.model,
-                    active.prompt_key,
-                    active.prompt + active.committed,
-                    committed=True,
-                )
-            active.new_round = outcome.round_done
-            if outcome.round_done:
-                record.rounds += 1
-            if active.chunk_caps is not None and outcome.new_tokens:
-                # A committed token becomes *final* (client-visible) only
-                # once its supporting audio has arrived: emission time is
-                # max(commit, audio ready).  Tokens the round decoded ahead
-                # of the stream are future-dated, never revised.
-                emissions = record.emission_ms
-                for offset in range(len(outcome.new_tokens)):
-                    position = active.emitted + offset + 1
-                    emissions.append(max(end_ms, audio_ready_ms(active, position)))
-                active.emitted += len(outcome.new_tokens)
-                record.partials.append((emissions[-1], active.emitted))
-            if outcome.new_tokens and record.first_token_ms is None:
-                record.first_token_ms = (
-                    record.emission_ms[0]
-                    if active.chunk_caps is not None
-                    else end_ms
-                )
-            if outcome.done:
-                result = active.stepper.result
-                record.status = STATUS_COMPLETED
-                record.finish_ms = end_ms
-                record.tokens = list(result.tokens)
-                record.decode_ms = result.total_ms
-                if record.first_token_ms is None:
-                    record.first_token_ms = end_ms  # empty transcript
-                if active.chunk_caps is not None:
-                    finalize_streaming(active, end_ms)
-                inflight.remove(active)
-                if memory is not None:
-                    memory.release_request(record.request.index)
-            else:
-                # Deferred: the successor phase is computed in the per-round
-                # coalesced drain (see ``advancing`` above), not here —
-                # nothing reads ``active.phase`` before that drain runs.
-                advancing.append(active)
-
-        def settle(
-            entry: tuple[_Active, int, int, bool, PhaseOutcome],
-            end_ms: float,
-            aborted: bool,
-            device_index: int,
-        ) -> None:
-            active, gen, attempt, transient, phase = entry
-            active.live -= 1
-            if active.gen != gen:
-                # A sibling copy already committed this phase, or the phase
-                # was requeued/shed after a crash: this copy is stale.
-                tally["cancelled"] += 1
-                if memory is not None:
-                    memory.settle(
-                        device_index,
-                        active.record.request.index,
-                        phase.model,
-                        active.prompt_key,
-                        0,
-                        committed=False,
-                    )
-                return
-            if not aborted and not transient:
-                commit(active, end_ms, device_index)
-                return
-            # The copy failed (crash abort or transient phase error).  The
-            # stepper never advanced, so the same phase object re-dispatches
-            # and the decode resumes from its last committed state.
-            if memory is not None:
-                # Its KV is gone with the failure; if no sibling copy holds
-                # one elsewhere, the retry pays a re-prefill on admission.
-                memory.settle(
-                    device_index,
-                    active.record.request.index,
-                    phase.model,
-                    active.prompt_key,
-                    0,
-                    committed=False,
-                )
-            active.record.retries += 1
-            tally["retries"] += 1
-            if active.live > 0:
-                return  # a sibling copy is still in flight; let it decide
-            active.gen += 1
-            active.running = False
-            active.attempts = attempt
-            if retry.exhausted(attempt):
-                shed_active(active, SHED_RETRIES)
-                return
-            active.record.requeues += 1
-            tally["requeues"] += 1
-            active.ready_ms = end_ms + retry.backoff_for(attempt)
-
-        while pending or queue or inflight or executing:
-            admit(now)
-            dispatch(now)
-            next_times = []
-            if executing:
-                next_times.append(executing[0][0])
-            if pending:
-                next_times.append(pending[0].request.arrival_ms)
-            backoffs = [
-                active.ready_ms
-                for active in inflight
-                if not active.running and active.ready_ms > now
-            ]
-            if backoffs:
-                next_times.append(min(backoffs))
-            while wakeups and wakeups[0] <= now:
-                wakeups.popleft()
-            if wakeups and (inflight or queue or pending):
-                next_times.append(wakeups[0])
-            if not next_times:
-                # Nothing will ever happen again.  Any remaining work is
-                # unservable (every device its phases could use is dead with
-                # no restart pending): shed it so the run terminates and
-                # conservation still holds.
-                for active in list(inflight):
-                    shed_active(active, SHED_CAPACITY)
-                while queue:
-                    shed_record(queue.pop(), SHED_CAPACITY)
+        run = _ServeRun(self, trace, dataset, id_prefix)
+        while run.pending or run.queue or run.inflight or run.executing:
+            run.admit()
+            run.dispatch()
+            next_ms = run.next_event_ms()
+            if next_ms is None:
+                run.shed_stranded()
                 break
-            now = max(now, min(next_times))
-            while executing and executing[0][0] <= now:
-                end, _, device_index, entries, aborted = heapq.heappop(executing)
-                for entry in entries:
-                    settle(entry, end, aborted, device_index)
-            if advancing:
-                if prewarm is not None and len(advancing) > 1:
-                    # Two or more sessions advance at this instant (e.g. a
-                    # merged-verify batch just committed): re-warm their
-                    # oracles in one grouped pass so each ``step_phase``
-                    # below reads cached blocks.  A no-op when the admission
-                    # prewarm is still resident; it only recomputes blocks
-                    # the oracle LRU has since evicted.
-                    units = []
-                    seen = set()
-                    for active in advancing:
-                        unit = active.record.request.utterance
-                        key = getattr(unit, "content_key", None) or id(unit)
-                        if key not in seen:
-                            seen.add(key)
-                            units.append(unit)
-                    prewarm(batch_models, units)
-                for active in advancing:
-                    active.phase = active.stepper.step_phase()
-                advancing.clear()
-
-        self.last_stats = ScheduleStats(
-            sim_end_ms=now,
-            device_busy_ms=sum(device.busy_ms for device in devices),
-            batches=sum(device.batches for device in devices),
-            rounds=sum(device.phases for device in devices),
-            peak_queue_depth=queue.peak_depth,
-            rejected=queue.rejected,
-            devices=len(devices),
-            per_device_busy_ms=tuple(device.busy_ms for device in devices),
-            device_speeds=tuple(device.speed for device in devices),
-            device_roles=router.device_roles(),
-            draft_share=draft_share,
-            retries=tally["retries"],
-            requeues=tally["requeues"],
-            preemptions=tally["preemptions"],
-            shed=tally["shed"],
-            duplicates=tally["duplicates"],
-            cancelled=tally["cancelled"],
-            displaced=queue.displaced,
-            degraded_ms=(
-                plan.degraded_ms(len(devices), now) if plan is not None else 0.0
-            ),
-            wasted_busy_ms=sum(device.wasted_ms for device in devices),
-            fault_events=len(plan.events) if plan is not None else 0,
-            memory_blocks=tuple(capacities) if memory is not None else (),
-            peak_memory_blocks=memory.peaks if memory is not None else (),
-            block_size=memspec.block_size if memory is not None else 0,
-            evictions=memory.evictions if memory is not None else 0,
-            evicted_blocks=memory.evicted_blocks if memory is not None else 0,
-            prefix_reuse_hits=memory.reuse_hits if memory is not None else 0,
-            reprefill_ms=memory.reprefill_ms if memory is not None else 0.0,
-            memory_stalls=memory.stalls if memory is not None else 0,
-        )
-        if memory is not None:
-            memory.audit()  # block conservation on every run
-        return records
+            run.now = max(run.now, next_ms)
+            run.complete()
+            run.advance()
+        self.last_stats = run.stats()
+        if run.memory is not None:
+            run.memory.audit()  # block conservation on every run
+        return run.records

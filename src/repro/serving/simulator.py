@@ -48,7 +48,7 @@ class ChaosSpec:
     fault_seed: int = 0  # seeds the transient phase-error hash
     max_retries: int = 3
     retry_backoff_ms: float = 25.0
-    straggler_k: float = 0.0  # re-issue at k x pool median; 0 = off
+    straggler_k: float = 0.0  # re-issue past k x median remaining; 0 = off
     admission_deadline_ms: float | None = None  # shed overdue interactive
     batch_deadline_ms: float | None = None  # batch-class SLO + shed bound
 
@@ -110,10 +110,8 @@ class ServeSimConfig:
             batch_deadline_ms=chaos.batch_deadline_ms,
         )
 
-    def fault_plan(self) -> FaultPlan | None:
-        """The injected fault plan, or None when the spec is empty."""
-        if not self.chaos.faults.strip():
-            return None
+    def fault_plan(self) -> FaultPlan:
+        """The injected fault plan (the empty plan when the spec is empty)."""
         return parse_fault_spec(self.chaos.faults, seed=self.chaos.fault_seed)
 
     def cluster_config(self) -> ClusterConfig:

@@ -82,7 +82,7 @@ def main() -> None:
     print()
 
     print("=== 4. scaling out: devices x placement policy " + "=" * 21)
-    # One decoder (and its warm oracle caches) serves every search probe;
+    # One decoder (and its phase tapes) serves every search probe;
     # transcripts and per-request decode times are identical at every point
     # (the cluster determinism contract) — only capacity moves.
     base = ServeSimConfig(method="specasr-asp", num_requests=48, deadline_ms=slo_ms)

@@ -202,10 +202,6 @@ class PhasedDecodeStepper:
         self._phases = phases
         self.clock = clock
         self._result: DecodeResult | None = None
-        #: Committed transcript positions so far (grows with every phase's
-        #: ``new_tokens``; includes a trailing EOS until the result strips
-        #: it).  A streaming scheduler gates decode progress on this.
-        self.positions = 0
 
     @property
     def done(self) -> bool:
@@ -245,7 +241,6 @@ class PhasedDecodeStepper:
                 else:
                     raise RuntimeError("phase generator yielded past done=True")
         events = self.clock.events[events_before:]
-        self.positions += len(tokens)
         return PhaseOutcome(
             phase=phase,
             model=model,

@@ -56,6 +56,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.decoding.base import PHASE_DRAFT, PhaseOutcome
+from repro.serving import tapes
 from repro.serving.devices import Device, DeviceSpec, make_devices
 
 ROUTER_COLOCATED = "colocated"
@@ -204,13 +205,14 @@ def measure_draft_share(decoder, utterances) -> float:
     Pure simulation: phase costs depend only on (decoder, utterance), so
     the measurement is deterministic and placement-independent — running
     it never perturbs the transcripts or ``decode_ms`` the determinism
-    contract guards (and the decoder's oracle caches make the later
-    serving run of the same utterances cheap).
+    contract guards.  The decodes go through :mod:`repro.serving.tapes`,
+    so the serving run (and every later probe with the same decoder)
+    replays them instead of decoding the sample again.
     """
     draft = 0.0
     total = 0.0
     for utterance in utterances:
-        stepper = decoder.begin(utterance)
+        stepper = tapes.begin(decoder, utterance)
         while not stepper.done:
             outcome = stepper.step_phase()
             total += outcome.ms

@@ -85,6 +85,15 @@ and :meth:`~repro.serving.devices.Device.execute` raises
 :class:`~repro.serving.request.InvariantViolation` on a batch that starts
 on a dead or stalled device.
 
+**Phase tapes.**  Every admitted request starts its decode through
+:func:`repro.serving.tapes.begin`: the first decode of an utterance by a
+decoder instance runs live and records its phases, and every later one —
+the next probe of a capacity search, a repeated utterance in a long trace —
+replays the recorded :class:`~repro.decoding.base.PhaseOutcome` sequence.
+The loop only ever sees phases, so a replayed decode schedules, bills and
+fails exactly like a live one; a commit steps the session's next phase at
+once.
+
 Determinism: given one arrival trace, every quantity here is a pure
 function of the trace, the decoders, the cluster shape and the fault plan —
 no wall clock, no RNG.  Transcripts and per-request ``decode_ms`` are
@@ -107,7 +116,8 @@ from typing import Sequence
 
 from repro.core.streaming import positions_available
 from repro.data.corpus import Dataset
-from repro.decoding.base import PhasedDecodeStepper, PhaseOutcome
+from repro.decoding.base import PhaseOutcome
+from repro.serving import tapes
 from repro.serving.arrivals import Arrival, chunk_schedule
 from repro.serving.devices import Device
 from repro.serving.faults import FaultPlan, RetryPolicy
@@ -316,7 +326,7 @@ class _Active:
     )
 
     def __init__(
-        self, record: RequestRecord, stepper: PhasedDecodeStepper, ready_ms: float
+        self, record: RequestRecord, stepper: tapes.DecodeStepper, ready_ms: float
     ) -> None:
         self.record = record
         self.stepper = stepper
@@ -505,26 +515,9 @@ class _ServeRun:
         )
         # Lazy: the serving package must stay importable from a partially
         # initialised repro.models (see repro.models.__getattr__).
-        from repro.models.simulated import prewarm_models, prompt_token_count
+        from repro.models.simulated import prompt_token_count
 
         self.prompt_token_count = prompt_token_count
-        # Cross-request batched scoring: when the decoder's models expose the
-        # block oracle (``oracle_block_size > 1``), every request admitted in
-        # one scheduler round gets its anchored distributions materialised in
-        # a single grouped array pass (cache warming only — nothing is
-        # billed, so transcripts and SimClock totals are bit-identical to
-        # the lazy per-position path).  Scalar-path models opt out.
-        self.batch_models = [
-            model
-            for model in (
-                getattr(self.decoder, "draft", None),
-                getattr(self.decoder, "target", None),
-            )
-            if model is not None
-            and getattr(model, "oracle_block_size", 0) > 1
-            and callable(getattr(model, "oracle", None))
-        ]
-        self.prewarm = prewarm_models if self.batch_models else None
         if plan is not None:
             for device, profile in zip(
                 self.devices, plan.profiles(len(self.devices)), strict=True
@@ -562,12 +555,6 @@ class _ServeRun:
         self.last_alive: tuple[int, ...] | None = None
         self.duplicates = 0  # straggler re-issues dispatched
         self.cancelled = 0  # stale copies settled (first-finisher-wins)
-        # Sessions whose committed phase awaits its successor: ``commit``
-        # defers ``stepper.step_phase()`` to ``advance``, once per round, so
-        # sessions settling at one instant (a merged verify batch) advance in
-        # one coalesced pass over warm caches.  Steppers are independent, so
-        # the deferral never changes any session's own draws or billing.
-        self.advancing: list[_Active] = []
 
     # -- shedding ----------------------------------------------------------
     def shed_record(self, record: RequestRecord, reason: str) -> None:
@@ -601,16 +588,8 @@ class _ServeRun:
         now_ms = self.now
         pending = self.pending
         queue = self.queue
-        arrived: list[RequestRecord] = []
         while pending and pending[0].request.arrival_ms <= now_ms:
-            record = pending.popleft()
-            arrived.append(record)
-            queue.offer(record)
-        if self.prewarm is not None and arrived:
-            # Admission-batch prewarm: one grouped array pass covers every
-            # (model, utterance) pair arriving this round, before any of
-            # their sessions computes its first phase.
-            self.prewarm(self.batch_models, [r.request.utterance for r in arrived])
+            queue.offer(pending.popleft())
         config = self.config
         inflight = self.inflight
         while queue:
@@ -637,7 +616,8 @@ class _ServeRun:
                 inflight.append(resumed)
                 continue
             record.service_start_ms = now_ms
-            active = _Active(record, self.decoder.begin(request.utterance), now_ms)
+            stepper = tapes.begin(self.decoder, request.utterance)
+            active = _Active(record, stepper, now_ms)
             active.start_stream(self.stream)
             if self.memory is not None:
                 utterance = request.utterance
@@ -972,16 +952,14 @@ class _ServeRun:
             record.partials.append((record.emission_ms[-1], active.emitted))
         if outcome.new_tokens and record.first_token_ms is None:
             record.first_token_ms = record.emission_ms[0] if streamed else end_ms
+        stepper = active.stepper
         if not outcome.done:
-            # Deferred to the per-round coalesced drain (``advance``):
-            # nothing reads ``active.phase`` before it runs.
-            self.advancing.append(active)
+            active.phase = stepper.step_phase()
             return
-        result = active.stepper.result
         record.status = STATUS_COMPLETED
         record.finish_ms = end_ms
-        record.tokens = list(result.tokens)
-        record.decode_ms = result.total_ms
+        record.tokens = list(stepper.tokens)
+        record.decode_ms = stepper.decode_ms
         if record.first_token_ms is None:
             record.first_token_ms = end_ms  # empty transcript
         if streamed:
@@ -989,30 +967,6 @@ class _ServeRun:
         self.inflight.remove(active)
         if memory is not None:
             memory.release_request(record.request.index)
-
-    def advance(self) -> None:
-        """Compute the successor phase of every session committed this round."""
-        advancing = self.advancing
-        if not advancing:
-            return
-        if self.prewarm is not None and len(advancing) > 1:
-            # Two or more sessions advance at this instant (e.g. a
-            # merged-verify batch just committed): re-warm their oracles in
-            # one grouped pass so each ``step_phase`` below reads cached
-            # blocks.  A no-op when the admission prewarm is still resident;
-            # it only recomputes blocks the oracle LRU has since evicted.
-            units = []
-            seen = set()
-            for active in advancing:
-                unit = active.record.request.utterance
-                key = getattr(unit, "content_key", None) or id(unit)
-                if key not in seen:
-                    seen.add(key)
-                    units.append(unit)
-            self.prewarm(self.batch_models, units)
-        for active in advancing:
-            active.phase = active.stepper.step_phase()
-        advancing.clear()
 
     # -- result ------------------------------------------------------------
     def stats(self) -> ScheduleStats:
@@ -1117,7 +1071,6 @@ class ContinuousBatchScheduler:
                 break
             run.now = max(run.now, next_ms)
             run.complete()
-            run.advance()
         self.last_stats = run.stats()
         if run.memory is not None:
             run.memory.audit()  # block conservation on every run

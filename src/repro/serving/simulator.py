@@ -236,7 +236,9 @@ def max_sustainable_qps(
     times.  Returns ``(max_qps, evaluated_reports)``; ``max_qps`` is 0.0 when
     even the lightest probed load misses the SLO.  Deterministic: the probe
     sequence is a pure function of the arguments.  Pass ``decoder`` to reuse
-    an already-built decoder (and its warm oracle caches) across the probes.
+    an already-built decoder across the probes: every probe after the first
+    replays its decodes from the decoder's phase tapes
+    (:mod:`repro.serving.tapes`).
     """
     if start_qps <= 0:
         raise ValueError("start_qps must be positive")
